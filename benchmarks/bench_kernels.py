@@ -2,7 +2,7 @@
 
 These complement the paper-table benches: they measure the real NumPy
 SGD throughput (this host's "computing power" in the paper's Eq. 8
-sense), the communication buffers' copy discipline, and the FP16 codec.
+sense), one pull through the channel wire codec, and the FP16 codec.
 
 The workload is :func:`repro.obs.bench.kernel_workload` — the same
 pinned synthetic matrix the ``repro bench`` suite measures, so
@@ -12,8 +12,8 @@ same work.
 
 import numpy as np
 
-from repro.core.comm import PullBuffer
 from repro.core.compression import compress_fp16, decompress_fp16
+from repro.engine.channels import QOnlyChannel
 from repro.mf.kernels import ConflictPolicy, sgd_epoch
 from repro.mf.model import MFModel
 from repro.obs.bench import kernel_workload as _data
@@ -53,11 +53,13 @@ def bench_fp16_roundtrip(benchmark):
 
 def bench_pull_buffer_cycle(benchmark):
     q = np.random.default_rng(0).uniform(0.0, 1.0, (64, 30_000)).astype(np.float32)
-    buf = PullBuffer(q.shape)
+    channel = QOnlyChannel()
+    wire = np.zeros(q.shape, dtype=channel.wire_dtype)
 
     def cycle():
-        buf.deposit(q)
-        return buf.read()
+        # the server's one encode onto the pull wire, a worker's decode
+        channel.encode(q, wire)
+        return channel.decode(wire)
 
     benchmark(cycle)
     benchmark.extra_info["mbytes"] = q.nbytes / 1e6

@@ -51,7 +51,6 @@ from repro.analysis.race import (
     RaceLog,
     RaceReport,
     RaceViolation,
-    attach_to_server,
     check_row_ownership,
     race_check,
     tracked_train,
@@ -78,7 +77,6 @@ __all__ = [
     "Rule",
     "Severity",
     "all_rules",
-    "attach_to_server",
     "build_cfg",
     "check_row_ownership",
     "filter_rules",

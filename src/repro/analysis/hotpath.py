@@ -40,7 +40,6 @@ KERNEL_MODULES = frozenset(
 WORKER_LOOP_MODULES = frozenset(
     {
         "repro/core/worker.py",
-        "repro/core/server.py",
         "repro/engine/backends.py",
         "repro/parallel/executor.py",
     }
@@ -56,11 +55,10 @@ COST_MODEL_MODULES = frozenset(
 )
 
 #: Modules allowed to write P/Q directly: the SGD kernels and trainers
-#: (``repro/mf/``) plus the server/framework/executor sync paths.
+#: (``repro/mf/``) plus the framework/backend/executor sync paths.
 PQ_OWNER_PREFIXES = ("repro/mf/",)
 PQ_OWNER_MODULES = frozenset(
     {
-        "repro/core/server.py",
         "repro/core/framework.py",
         "repro/core/checkpoint.py",
         "repro/engine/backends.py",
@@ -79,7 +77,6 @@ TIMING_MODULES = frozenset(
         "repro/hardware/profiler.py",
         "repro/engine/backends.py",
         "repro/parallel/executor.py",
-        "repro/core/server.py",
         "repro/core/worker.py",
         # the perf-trajectory plane measures everything it reports; the
         # prefix above already covers these, but they are named here so
@@ -96,7 +93,6 @@ EPOCH_LOOP_MODULE_PREFIXES = ("repro/engine/",)
 EPOCH_LOOP_GUARDED_MODULES = frozenset(
     {
         "repro/core/framework.py",
-        "repro/core/server.py",
         "repro/core/worker.py",
         "repro/parallel/executor.py",
         "repro/parallel/tuning.py",

@@ -19,9 +19,11 @@ from different workers are therefore flagged only when they are
 *concurrent* — same-epoch overlap is a race, cross-epoch overlap after
 a barrier (e.g. a repartition between epochs) is legal.
 
-:func:`tracked_train` replays a real numeric training (ParameterServer
-+ SGD kernels) with instrumented buffers, so the §3.4/§3.5 guarantees
-are proven against actual execution, not a hand-written model.
+:func:`tracked_train` replays a real numeric training through the
+epoch functions both engine backends call (pull encode, push encode,
+merge) plus the SGD kernels, recording every wire access at its call
+site, so the §3.4/§3.5 guarantees are proven against actual execution,
+not a hand-written model.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.partition import PartitionPlan, dp0, dp1, dp2
-from repro.core.server import ParameterServer
 from repro.data.grid import GridAssignment
 from repro.data.ratings import RatingMatrix
 from repro.data.synthetic import SyntheticConfig, generate_low_rank
+from repro.engine.backends import encode_pull, encode_push, merge_pushes
+from repro.engine.channels import QOnlyChannel
 from repro.mf.kernels import sgd_epoch
 from repro.mf.model import MFModel
 
@@ -257,38 +260,6 @@ def check_row_ownership(
 
 
 # ---------------------------------------------------------------------------
-# buffer instrumentation
-# ---------------------------------------------------------------------------
-def attach_to_server(server: ParameterServer, log: RaceLog) -> None:
-    """Wire a server's pull/push buffers into the race log.
-
-    Uses the observer hooks on :class:`~repro.core.comm.PullBuffer` /
-    :class:`~repro.core.comm.PushBuffer`; afterwards every deposit,
-    read and consume lands in the log with the right actor attribution.
-    """
-    if server.n_workers != log.n_workers:
-        raise ValueError("server/log worker count mismatch")
-
-    def on_pull(op: str, worker: int | None) -> None:
-        if op == "deposit":
-            log.record(log.server_actor, WRITE, "pull")
-        elif op == "read":
-            actor = log.server_actor if worker is None else worker
-            log.record(actor, READ, "pull")
-
-    server.pull_buffer.observer = on_pull
-    for i, buf in enumerate(server.push_buffers):
-        def on_push(op: str, worker: int | None, _i: int = i) -> None:
-            if op == "deposit":
-                actor = _i if worker is None else worker
-                log.record(actor, WRITE, f"push:{_i}")
-            elif op == "consume":
-                log.record(log.server_actor, READ, f"push:{_i}")
-
-        buf.observer = on_push
-
-
-# ---------------------------------------------------------------------------
 # instrumented training replay
 # ---------------------------------------------------------------------------
 @dataclass
@@ -329,31 +300,34 @@ def tracked_train(
     label: str = "tracked",
     log: RaceLog | None = None,
 ) -> RaceReport:
-    """Run a real in-process training with instrumented buffers.
+    """Run a real in-process training with every wire access recorded.
 
-    Replays the epoch structure of the executor — pull, asynchronous
-    per-worker SGD on the shared P, push, server merge, barrier — and
-    records every buffer access plus each worker's actual P-row write
-    span (taken from its shard, so an overlapping assignment *is* an
-    overlapping write).
+    Replays the epoch structure of the engine backends through their
+    own epoch functions — pull encode, asynchronous per-worker SGD on
+    the shared P, push encode, server merge, barrier — and records each
+    pull deposit, worker read, push deposit and server consume where it
+    happens, plus each worker's actual P-row write span (taken from its
+    shard, so an overlapping assignment *is* an overlapping write).
     """
     n = len(assignments)
     if log is None:
         log = RaceLog(n)
+    channel = QOnlyChannel()
     model = MFModel.init_for(ratings, k, seed=seed)
-    server = ParameterServer(model, n)
-    attach_to_server(server, log)
     shards = [a.extract(ratings).sort_by_row() for a in assignments]
     rngs = [np.random.default_rng(seed + 101 * (a.worker + 1)) for a in assignments]
+    pull_wire = np.zeros(model.Q.shape, dtype=channel.wire_dtype)
+    push_wires = [np.zeros_like(pull_wire) for _ in assignments]
 
     history: list[float] = []
-    for _ in range(epochs):
-        server.begin_epoch()
-        for a, shard, rng in zip(assignments, shards, rngs):
-            q_local = server.pull(worker=a.worker)
+    for epoch in range(epochs):
+        base = encode_pull(channel, model.Q, pull_wire)
+        log.record(log.server_actor, WRITE, "pull")
+        for a, shard, rng, push_wire in zip(assignments, shards, rngs, push_wires):
+            log.record(a.worker, READ, "pull")
             # wraps the shared P without copying: in-place row updates,
-            # exactly the executor's semantics
-            wmodel = MFModel(model.P, q_local)
+            # exactly the backends' semantics
+            wmodel = MFModel(model.P, channel.decode(pull_wire))
             if shard.nnz:
                 log.record(
                     a.worker,
@@ -363,7 +337,11 @@ def tracked_train(
                     int(shard.rows.max()) + 1,
                 )
                 sgd_epoch(wmodel, shard, lr, reg, rng=rng)
-            server.push_and_sync(a.worker, wmodel.Q, 1.0)
+            encode_push(channel, wmodel.Q, pull_wire, push_wire, (), epoch)
+            log.record(a.worker, WRITE, f"push:{a.worker}")
+        for a in assignments:
+            log.record(log.server_actor, READ, f"push:{a.worker}")
+        merge_pushes(channel, model.Q, base, push_wires, [1.0] * n, epoch)
         log.advance_epoch()
         history.append(model.rmse(ratings))
 

@@ -509,8 +509,8 @@ class PQMutationRule(Rule):
                         ctx,
                         target,
                         f"direct mutation of .{attr} outside the kernel/server "
-                        "modules; go through sgd_batch_update or the "
-                        "ParameterServer buffer API",
+                        "modules; go through sgd_batch_update or the engine's "
+                        "merge_pushes",
                     )
 
     @staticmethod
@@ -690,7 +690,6 @@ class EpochLoopRule(Rule):
         "sync",
         "compute",
         "begin_epoch",
-        "push_and_sync",
         "run_epoch",
         "run_rotation_step",
     }

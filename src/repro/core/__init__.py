@@ -22,7 +22,7 @@ from repro.core.compression import (
     roundtrip_error,
     FP16_RELATIVE_ERROR_BOUND,
 )
-from repro.core.comm import CommModel, CommPlan, PullBuffer, PushBuffer
+from repro.core.comm import CommModel, CommPlan
 from repro.core.cost_model import TimeCostModel, EpochCost, WorkerCost, Regime
 from repro.core.partition import (
     PartitionPlan,
@@ -32,7 +32,6 @@ from repro.core.partition import (
     even_partition,
     exposed_sync_time,
 )
-from repro.core.server import ParameterServer
 from repro.core.worker import WorkerRuntime
 from repro.core.framework import HCCMF, TrainResult
 from repro.core.autotune import autotune, tuned_config, TunedConfig, TuningReport
@@ -61,8 +60,6 @@ __all__ = [
     "FP16_RELATIVE_ERROR_BOUND",
     "CommModel",
     "CommPlan",
-    "PullBuffer",
-    "PushBuffer",
     "TimeCostModel",
     "EpochCost",
     "WorkerCost",
@@ -73,7 +70,6 @@ __all__ = [
     "dp2",
     "even_partition",
     "exposed_sync_time",
-    "ParameterServer",
     "WorkerRuntime",
     "HCCMF",
     "TrainResult",

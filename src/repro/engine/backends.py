@@ -5,15 +5,23 @@ protocol:
 
 * :class:`SimBackend` — the in-process plane.  Workers are
   :class:`~repro.core.worker.WorkerRuntime` objects taking turns on the
-  host; feature traffic flows through a
-  :class:`~repro.core.server.ParameterServer`'s pull/push buffers; an
-  optional :class:`~repro.core.cost_model.TimeCostModel` advances the
-  simulated clock one epoch cost per epoch (the "cost-model advance").
+  host; feature traffic crosses plain numpy wire arrays of the channel
+  stack's wire dtype; an optional
+  :class:`~repro.core.cost_model.TimeCostModel` advances the simulated
+  clock one epoch cost per epoch (the "cost-model advance").
 * :class:`ProcessBackend` — the wall-clock plane.  The calling process
   is the server, every worker is an OS process (paper 3.5), and all
   feature traffic crosses :class:`~repro.parallel.shm.SharedArray`
   segments whose dtype is the channel stack's wire format, so Q-only
   payloads, FP16 wire and double-buffered pulls run for real.
+
+The server side of an epoch (paper 3.1/3.5) exists once, as three
+module-level functions both backends call on their wire arrays:
+:func:`encode_pull` (one copy of Q onto the pull wire, returning the
+wire-accurate merge base), :func:`encode_push` (a worker's one copy
+onto its push wire, with drop/corrupt fault injection) and
+:func:`merge_pushes` (validate every push, then
+``Q += w_i * (Q_i - Q_base)`` in rank order).
 
 Both backends execute the identical stage sequence under
 :class:`~repro.engine.pipeline.EpochEngine`; the ``engine-parity`` CI
@@ -27,7 +35,7 @@ import os
 import threading
 import time
 from contextlib import ExitStack, nullcontext
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -64,19 +72,38 @@ _WORKER_PATIENCE_S = 30.0
 
 
 class WorkerSyncError(RuntimeError):
-    """A barrier rendezvous failed; names the ranks that never arrived."""
+    """A barrier rendezvous failed: who never arrived, and how we know.
+
+    ``observed`` states the detection itself — ``worker-r exited with
+    code N after X s`` or ``no stamp after the T s timeout`` — so a dead
+    rank caught by its exit code in milliseconds never reads as a
+    timeout.
+    """
 
     def __init__(self, point: str, epoch: int, missing_ranks: tuple[int, ...],
-                 timeout_s: float):
+                 observed: str):
         self.point = point
         self.epoch = epoch
         self.missing_ranks = missing_ranks
         names = ", ".join(f"worker-{r}" for r in missing_ranks) or "unknown rank"
         super().__init__(
             f"a worker process failed mid-epoch: {names} did not reach the "
-            f"{point} barrier of epoch {epoch} within {timeout_s:.0f}s; "
+            f"{point} barrier of epoch {epoch} ({observed}); "
             f"shared state has been cleaned up"
         )
+
+
+def _exit_note(exitcodes: Mapping[int, int], elapsed_s: float) -> str:
+    """Detection by exit code: ``worker-r exited with code N after X s``."""
+    return ", ".join(
+        f"worker-{rank} exited with code {code} after {elapsed_s:.2f}s"
+        for rank, code in sorted(exitcodes.items())
+    )
+
+
+def _timeout_note(timeout_s: float) -> str:
+    """Detection by deadline: no progress stamp before the timeout."""
+    return f"no stamp after the {timeout_s:.0f}s timeout"
 
 
 class WirePayloadError(RuntimeError):
@@ -101,10 +128,86 @@ class WirePayloadError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# the server side of an epoch (one copy per pull and push, one merge)
+# ---------------------------------------------------------------------------
+def encode_pull(channel: Channel, q: np.ndarray, wire: np.ndarray) -> np.ndarray:
+    """The server's pull: encode Q onto the wire once, return the base.
+
+    The merge base is decoded *off the wire* — the exact (possibly
+    quantized) matrix workers will decode — so pull-side wire error
+    cancels out of the delta merge.
+    """
+    channel.encode(q, wire)
+    return channel.decode(wire)
+
+
+def encode_push(
+    channel: Channel,
+    q_trained: np.ndarray,
+    pull_wire: np.ndarray,
+    push_wire: np.ndarray,
+    faults: tuple[Fault, ...],
+    global_epoch: int,
+) -> None:
+    """A worker's single push encode, with drop/corrupt injection.
+
+    ``faults`` is this rank's slice of a
+    :class:`~repro.resilience.faults.FaultPlan`, keyed on global epochs.
+    """
+    if fault_at(faults, DROP, global_epoch) is not None:
+        # dropped payload: the wire still carries the epoch base (the
+        # pull wire's exact bits), so the server merges a zero delta
+        np.copyto(push_wire, pull_wire)
+    else:
+        channel.encode(q_trained, push_wire)
+    if fault_at(faults, CORRUPT, global_epoch) is not None:
+        push_wire[...] = np.nan
+
+
+def merge_pushes(
+    channel: Channel,
+    q: np.ndarray,
+    base: np.ndarray,
+    push_wires: Sequence[np.ndarray],
+    weights: Sequence[float],
+    epoch: int,
+) -> None:
+    """The server's sync: ``q += w_i * (Q_i - base)`` over every push.
+
+    Every push is decoded and checked with ``channel.payload_ok`` before
+    any is merged: the epoch's sync is all-or-nothing, so a garbage
+    payload (a torn write from a dying worker, an injected corruption)
+    raises :class:`WirePayloadError` for the first bad rank and leaves
+    ``q`` at the last cleanly-synced epoch — the state a retry restarts
+    from.  The deltas then apply in rank order.  HCC-MF uses ``w_i = 1``:
+    row-grid workers train on disjoint samples, so their deltas are
+    distinct SGD steps that all apply (averaging would under-apply the
+    epoch's updates); fractional weights serve entry-level partitions
+    whose shards overlap.
+    """
+    if not all(0.0 <= w <= 1.0 for w in weights):
+        raise ValueError("merge weights must be in [0, 1]")
+    decoded: list[np.ndarray] = []
+    for rank, wire in enumerate(push_wires):
+        # an FP32 wire is consumed in place: no further copy
+        received = wire if wire.dtype == np.float32 else channel.decode(wire)
+        if not channel.payload_ok(received):
+            raise WirePayloadError(rank, epoch)
+        decoded.append(received)
+    for received, weight in zip(decoded, weights):
+        # one read of q, one of the delta, one write: Eq. 3's three
+        # memory operations per merged value
+        if weight == 1.0:
+            q += received - base
+        else:
+            q += np.float32(weight) * (received - base)
+
+
+# ---------------------------------------------------------------------------
 # sim backend (in-process numerics + cost-model clock)
 # ---------------------------------------------------------------------------
 class SimBackend:
-    """In-process workers over buffer objects, with a simulated clock.
+    """In-process workers over numpy wire arrays, with a simulated clock.
 
     ``ratings`` must already be in row-grid orientation and shuffled
     (what :meth:`repro.core.framework.HCCMF.prepare` produces); the
@@ -118,10 +221,11 @@ class SimBackend:
     :class:`~repro.resilience.faults.FaultPlan` kinds the process plane
     injects, surfacing each at the exact detection point the server
     would see it: kills and over-timeout stragglers raise a
-    :class:`WorkerSyncError` at the epoch's barriers, corrupt payloads
-    raise :class:`WirePayloadError` before any merge, dropped payloads
-    silently merge a zero delta, and benign stragglers stretch the
-    simulated clock.
+    :class:`WorkerSyncError` at the epoch's barriers, and benign
+    stragglers stretch the simulated clock.  Dropped and corrupt
+    payloads go through the same :func:`encode_push` and
+    :func:`merge_pushes` as on the process plane: a drop merges a zero
+    delta, a corruption fails the payload check before any merge.
     """
 
     name = "sim"
@@ -184,7 +288,6 @@ class SimBackend:
     # -- lifecycle -------------------------------------------------------
     def open(self, plan, channel: Channel, sync_policy: "SyncPolicy",
              telemetry, epochs: int) -> None:
-        from repro.core.server import ParameterServer
         from repro.core.worker import WorkerRuntime
 
         data = self.ratings
@@ -193,6 +296,7 @@ class SimBackend:
         self._channel = channel
         self._sync_policy = sync_policy
         registry = telemetry.registry if telemetry is not None else None
+        self._registry = registry
         if self.initial_model is not None:
             # warm start (checkpoint resume): once-per-run private copies
             # so training never writes into the caller's checkpoint arrays
@@ -219,9 +323,14 @@ class SimBackend:
         for _ in range(self.epoch_offset):
             for rt in self.runtimes:
                 rt.rng.permutation(rt.nnz)
-        self.server = ParameterServer(
-            self.model, self.n_workers, channel=channel, metrics=registry,
-        )
+        # the wire arrays the SharedArray segments are on the process
+        # plane: one pull wire, one push wire per worker
+        shape, wire = self.model.Q.shape, channel.wire_dtype
+        self._pull_wire = np.zeros(shape, dtype=wire)
+        self._push_wires = [
+            np.zeros(shape, dtype=wire) for _ in range(self.n_workers)
+        ]
+        self._q_base: np.ndarray | None = None
         # degraded-epoch costing: after a redistribution the plan's
         # fractions cover only the surviving workers, so the epoch is
         # priced over that subset (Eq. 1-5 with renormalized x_i)
@@ -286,13 +395,17 @@ class SimBackend:
             for f in kills:
                 self._sim_exitcodes[f.rank] = 13 if f.hard else 1
             ranks = tuple(sorted({f.rank for f in kills}))
-            raise WorkerSyncError("start", epoch, ranks, self.barrier_timeout_s)
+            # the sim detects a death at once, by its simulated exit code
+            codes = {r: self._sim_exitcodes[r] for r in ranks}
+            raise WorkerSyncError("start", epoch, ranks, _exit_note(codes, 0.0))
         delays = [f for f in self._faults_at(DELAY, epoch) if f.point == "start"]
         late = tuple(sorted(
             {f.rank for f in delays if f.seconds > self.barrier_timeout_s}
         ))
         if late:
-            raise WorkerSyncError("start", epoch, late, self.barrier_timeout_s)
+            raise WorkerSyncError(
+                "start", epoch, late, _timeout_note(self.barrier_timeout_s)
+            )
         if delays:
             self.sim_seconds += max(f.seconds for f in delays)
 
@@ -311,19 +424,23 @@ class SimBackend:
     def pull(self, epoch: int) -> Mapping:
         if self.fault_plan:
             self._inject_epoch_top(epoch)
-        self.server.begin_epoch()
+        self._q_base = encode_pull(self._channel, self.model.Q, self._pull_wire)
+        nbytes = self._pull_wire.nbytes
         self._q_locals = []
         for rt in self.runtimes:
             if self._timed:
                 t0 = self._now()
-            q_local = self.server.pull(worker=rt.worker_id)
+            # the worker's single per-epoch copy, decoded off the wire
+            q_local = self._channel.decode(self._pull_wire)
             if self._timed:
                 self._timeline.add(
                     f"worker-{rt.worker_id}", Phase.PULL, t0, self._now(),
                     epoch + self.epoch_offset, self._attempt,
                 )
+                self._registry.counter(
+                    "bytes_pulled_total", "bytes pulled per worker"
+                ).inc(nbytes, worker=f"worker-{rt.worker_id}")
             self._q_locals.append(q_local)
-        nbytes = self.server.pull_buffer.nbytes
         return {"wire_bytes": nbytes * self.n_workers, "per_worker_bytes": nbytes}
 
     def compute(self, epoch: int) -> Mapping:
@@ -348,23 +465,22 @@ class SimBackend:
         return {"updates": tuple(rt.nnz for rt in self.runtimes)}
 
     def push(self, epoch: int) -> Mapping:
-        drop_ranks = {f.rank for f in self._faults_at(DROP, epoch)}
-        for rt, q_new in zip(self.runtimes, self._q_news):
+        nbytes = self._push_wires[0].nbytes
+        for rt, q_new, wire in zip(self.runtimes, self._q_news, self._push_wires):
             if self._timed:
                 t0 = self._now()
-            if rt.worker_id in drop_ranks:
-                # dropped payload: the wire carries the epoch base, so
-                # the server merges an exactly-zero delta.  run_epoch
-                # trained q_new *in place*, so pushing it would not be
-                # a drop — the base must come back from the server.
-                self.server.push(rt.worker_id, self.server.q_base)
-            else:
-                self.server.push(rt.worker_id, q_new)
+            encode_push(
+                self._channel, q_new, self._pull_wire, wire,
+                self.fault_plan.for_rank(rt.worker_id), epoch + self.epoch_offset,
+            )
             if self._timed:
                 self._timeline.add(
                     f"worker-{rt.worker_id}", Phase.PUSH, t0, self._now(),
                     epoch + self.epoch_offset, self._attempt,
                 )
+                self._registry.counter(
+                    "bytes_pushed_total", "bytes pushed per worker"
+                ).inc(nbytes, worker=f"worker-{rt.worker_id}")
         end_delays = [
             f for f in self._faults_at(DELAY, epoch) if f.point == "end"
         ]
@@ -373,29 +489,39 @@ class SimBackend:
         ))
         if late:
             self._restore_p()
-            raise WorkerSyncError("end", epoch, late, self.barrier_timeout_s)
+            raise WorkerSyncError(
+                "end", epoch, late, _timeout_note(self.barrier_timeout_s)
+            )
         if end_delays:
             self.sim_seconds += max(f.seconds for f in end_delays)
-        nbytes = self.server.push_buffers[0].nbytes
         return {"wire_bytes": nbytes * self.n_workers, "per_worker_bytes": nbytes}
 
     def sync(self, epoch: int) -> Mapping:
-        corrupt = self._faults_at(CORRUPT, epoch)
-        if corrupt:
-            # validation precedes any merge (the epoch is all-or-nothing
-            # on the process plane), so the model rolls back whole
+        weights = [
+            self._sync_policy.weight(i, self._fractions)
+            for i in range(self.n_workers)
+        ]
+        if self._timed:
+            t0 = self._now()
+        try:
+            merge_pushes(
+                self._channel, self.model.Q, self._q_base, self._push_wires,
+                weights, epoch,
+            )
+        except WirePayloadError:
+            # nothing merged; P was trained in place and must roll back
+            # too, as the process plane discards its shared P
             self._restore_p()
-            raise WirePayloadError(min(f.rank for f in corrupt), epoch)
-        for i, rt in enumerate(self.runtimes):
-            weight = self._sync_policy.weight(i, self._fractions)
-            if self._timed:
-                t0 = self._now()
-            self.server.sync(rt.worker_id, weight)
-            if self._timed:
-                self._timeline.add(
-                    "server", Phase.SYNC, t0, self._now(),
-                    epoch + self.epoch_offset, self._attempt,
-                )
+            raise
+        if self._timed:
+            t1 = self._now()
+            self._timeline.add(
+                "server", Phase.SYNC, t0, t1,
+                epoch + self.epoch_offset, self._attempt,
+            )
+            self._registry.histogram(
+                "merge_seconds", "server delta-merge time per epoch"
+            ).observe(t1 - t0)
         self.sim_seconds += self._epoch_sim_cost
         self.cost_log.append((
             epoch + self.epoch_offset,
@@ -508,28 +634,21 @@ def _maybe_delay(faults: tuple[Fault, ...], global_epoch: int, point: str) -> No
         time.sleep(delay.seconds)
 
 
-def _encode_push(
-    channel: Channel,
-    q_trained: np.ndarray,
-    pull_buf: SharedArray,
-    push_buf: SharedArray,
-    faults: tuple[Fault, ...],
-    global_epoch: int,
-) -> None:
-    """The worker's single push encode, with drop/corrupt injection."""
-    if fault_at(faults, DROP, global_epoch) is not None:
-        # dropped payload: the wire still carries the epoch base (the
-        # pull buffer's exact bits), so the server merges a zero delta
-        np.copyto(push_buf.array, pull_buf.array)
-    else:
-        channel.encode(q_trained, push_buf.array)
-    if fault_at(faults, CORRUPT, global_epoch) is not None:
-        push_buf.array[...] = np.nan
+class _Untraced:
+    """Telemetry/profiling-off stand-in for the worker's instruments.
 
+    Plays both :class:`~repro.obs.spans.SpanRecorder` (``span``) and
+    :class:`~repro.obs.profile.WorkerStageProfiles` (``stage``), so the
+    worker runs one epoch body whether or not it is instrumented.
+    """
 
-def _null_stage(name: str):
-    """Disabled-profiling stand-in for WorkerStageProfiles.stage."""
-    return nullcontext()
+    _off = nullcontext()
+
+    def span(self, phase: Phase, epoch: int):
+        return self._off
+
+    def stage(self, name: str):
+        return self._off
 
 
 def _worker_main(
@@ -564,7 +683,8 @@ def _worker_main(
     ``channel.depth`` rotating buffers (Strategy 3).  Before each
     barrier the worker stamps ``progress[worker_id]`` so the server can
     name missing ranks on a broken rendezvous.  ``span_spec`` switches
-    on the instrumented variant.
+    on span recording; without it the same body runs on no-op
+    instruments.
 
     ``epoch_offset`` is how many *global* epochs already completed
     before this spawn (checkpoint resume, recovery restart): stamps and
@@ -596,64 +716,46 @@ def _worker_main(
         ]
         push_buf = stack.enter_context(SharedArray.attach(push_spec))
         progress = stack.enter_context(SharedArray.attach(progress_spec))
-        rec = None
+        rec = prof = _Untraced()
         if span_spec is not None:
             # imported here so the uninstrumented path never touches
             # repro.obs (and to avoid an import cycle via repro.parallel)
             from repro.obs.spans import SpanRecorder, SpanRing
 
             rec = SpanRecorder(stack.enter_context(SpanRing.attach(span_spec)))
-        prof = None
         if profile_dir is not None:
             from repro.obs.profile import WorkerStageProfiles
 
             prof = WorkerStageProfiles()
-        stage_cm = prof.stage if prof is not None else _null_stage
+        # booted: from here on the server's barrier clock runs for this rank
+        progress.array[worker_id] = 0
         for epoch in range(epochs):
             global_epoch = epoch_offset + epoch
             if faults:
                 _pre_epoch_faults(faults, global_epoch, worker_id, start_barrier)
             pull_buf = pull_bufs[epoch % len(pull_bufs)]
             progress.array[worker_id] = 2 * epoch + 1
-            if rec is None:
+            with rec.span(Phase.BARRIER, epoch):
                 start_barrier.wait(timeout=barrier_timeout_s)
-                # pull: the worker's single per-epoch copy out of the
-                # shared pull buffer, decoded off the wire (paper 3.5)
-                with stage_cm("pull"):
-                    q_local = channel.decode(pull_buf.array)
-                model = MFModel(p_shared.array, q_local)
-                with stage_cm("compute"):
-                    _train_shard(model, rows, cols, vals, rng, batch_size, lr, reg)
-                # push: one encode into this worker's shared push buffer
-                with stage_cm("push"):
-                    _encode_push(
-                        channel, model.Q, pull_buf, push_buf, faults, global_epoch
-                    )
-                if faults:
-                    _maybe_delay(faults, global_epoch, "end")
+            # pull: the worker's single per-epoch copy out of the shared
+            # pull buffer, decoded off the wire (paper 3.5)
+            with rec.span(Phase.PULL, epoch), prof.stage("pull"):
+                q_local = channel.decode(pull_buf.array)
+            model = MFModel(p_shared.array, q_local)
+            with rec.span(Phase.COMPUTE, epoch), prof.stage("compute"):
+                _train_shard(model, rows, cols, vals, rng, batch_size, lr, reg)
+            # push: one encode into this worker's shared push buffer
+            with rec.span(Phase.PUSH, epoch), prof.stage("push"):
+                encode_push(
+                    channel, model.Q, pull_buf.array, push_buf.array, faults,
+                    global_epoch,
+                )
+            if faults:
+                _maybe_delay(faults, global_epoch, "end")
+            with rec.span(Phase.BARRIER, epoch):
                 progress.array[worker_id] = 2 * epoch + 2
                 end_barrier.wait(timeout=barrier_timeout_s)
-            else:
-                t0 = time.perf_counter()
-                start_barrier.wait(timeout=barrier_timeout_s)
-                rec.record(Phase.BARRIER, epoch, t0, time.perf_counter())
-                with rec.span(Phase.PULL, epoch), stage_cm("pull"):
-                    # the same single per-epoch pull decode, timed
-                    q_local = channel.decode(pull_buf.array)
-                model = MFModel(p_shared.array, q_local)
-                with rec.span(Phase.COMPUTE, epoch), stage_cm("compute"):
-                    _train_shard(model, rows, cols, vals, rng, batch_size, lr, reg)
-                with rec.span(Phase.PUSH, epoch), stage_cm("push"):
-                    _encode_push(
-                        channel, model.Q, pull_buf, push_buf, faults, global_epoch
-                    )
-                if faults:
-                    _maybe_delay(faults, global_epoch, "end")
-                t1 = time.perf_counter()
-                progress.array[worker_id] = 2 * epoch + 2
-                end_barrier.wait(timeout=barrier_timeout_s)
-                rec.record(Phase.BARRIER, epoch, t1, time.perf_counter())
-        if prof is not None:
+        if profile_dir is not None:
             prof.dump(profile_dir, worker_id)
 
 
@@ -661,10 +763,10 @@ class ProcessBackend:
     """OS worker processes over shared memory (wall-clock plane).
 
     The calling process acts as the server: per epoch it encodes Q onto
-    the wire (pull stage), releases the start barrier, awaits the end
-    barrier (push stage), and applies the sync policy's delta merge
-    against the wire-accurate epoch base — the exact matrix workers
-    decoded, so FP16 pull quantization cancels out of the deltas.
+    the wire (pull stage, :func:`encode_pull`), releases the start
+    barrier, awaits the end barrier (push stage), and merges every
+    worker's push with :func:`merge_pushes` against the wire-accurate
+    epoch base — the same functions the sim plane calls.
     """
 
     name = "process"
@@ -679,7 +781,6 @@ class ProcessBackend:
         batch_size: int = 4096,
         seed: int = 0,
         barrier_timeout_s: float = DEFAULT_BARRIER_TIMEOUT_S,
-        fail_worker_at: tuple[int, int] | None = None,
         fault_plan: FaultPlan | None = None,
     ):
         if n_workers <= 0:
@@ -688,8 +789,6 @@ class ProcessBackend:
             raise ValueError("k must be positive")
         if barrier_timeout_s <= 0:
             raise ValueError("barrier_timeout_s must be positive")
-        if fail_worker_at is not None and fault_plan is not None:
-            raise ValueError("pass either fail_worker_at= or fault_plan=, not both")
         self.ratings = ratings
         self.k = k
         self.n_workers = n_workers
@@ -698,11 +797,6 @@ class ProcessBackend:
         self.batch_size = batch_size
         self.seed = seed
         self.barrier_timeout_s = float(barrier_timeout_s)
-        #: legacy fault-injection hook: (worker_id, epoch) that crashes;
-        #: normalized into the FaultPlan below
-        self.fail_worker_at = fail_worker_at
-        if fault_plan is None and fail_worker_at is not None:
-            fault_plan = FaultPlan().kill(fail_worker_at[0], fail_worker_at[1])
         #: the injected-failure script (docs/resilience.md); pruned by
         #: the engine after each recovery so faults fire at most once
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
@@ -786,7 +880,10 @@ class ProcessBackend:
         self._procs: list = []
         self._rings: list = []
         self._shard_nnz: list[int] = []
-        self._server_spans: list[tuple[Phase, int, float, float]] = []
+        #: rank -> server time its boot stamp was first seen (see _await)
+        self._booted_at: dict[int, float] = {}
+        #: (phase, epoch, start, end, cpu seconds) of server-side stages
+        self._server_spans: list[tuple[Phase, int, float, float, float]] = []
         self._attempt += 1
         if self._run_origin is None:
             self._run_origin = time.perf_counter()
@@ -821,6 +918,8 @@ class ProcessBackend:
             # broken rendezvous (no synchronization on the happy path)
             self._progress = SharedArray.create((self.n_workers,), "int64")
             self._stack.callback(self._progress.unlink)
+            # -1: not booted yet; a worker stamps 0 once it can run epochs
+            self._progress.array[...] = -1
             if telemetry is not None:
                 from repro.obs.spans import SpanRing
 
@@ -886,10 +985,26 @@ class ProcessBackend:
         longer timeout (``_WORKER_PATIENCE_S``), so at detection time
         the survivors are still blocked, classifiable, and are then
         reaped by ``close()``.
+
+        A rank's ``barrier_timeout_s`` runs from the later of this call
+        and the moment its boot stamp appeared, so a spawned worker's
+        interpreter start-up and imports never count against it (on a
+        loaded host they can take seconds, and a slow boot must not read
+        as a straggler).  A rank that never boots is given up on after
+        ``_WORKER_PATIENCE_S``.
         """
         expected = 2 * epoch + (1 if point == "start" else 2)
         stamps = self._progress.array
-        deadline = time.perf_counter() + self.barrier_timeout_s
+        started = time.perf_counter()
+        # inside the workers' own barrier patience, so a late booter is
+        # given up on before any booted peer's barrier wait expires
+        boot_limit = started + _WORKER_PATIENCE_S
+
+        def _deadline(rank: int) -> float:
+            booted = self._booted_at.get(rank)
+            if booted is None:
+                return boot_limit
+            return max(started, booted) + self.barrier_timeout_s
 
         def _missing() -> tuple[int, ...]:
             # a killed worker may have stamped *before* dying, so a rank
@@ -902,7 +1017,22 @@ class ProcessBackend:
                 or self._procs[rank].exitcode not in (None, 0)
             )
 
+        def _error(missing: tuple[int, ...], observed: str) -> WorkerSyncError:
+            # name the detection that actually fired: a dead rank's exit
+            # code when there is one, else the given observation
+            dead = {
+                rank: self._procs[rank].exitcode for rank in missing
+                if self._procs[rank].exitcode not in (None, 0)
+            }
+            if dead:
+                observed = _exit_note(dead, time.perf_counter() - started)
+            return WorkerSyncError(point, epoch, missing, observed)
+
         while True:
+            if len(self._booted_at) < self.n_workers:
+                now = time.perf_counter()
+                for rank in np.flatnonzero(stamps >= 0).tolist():
+                    self._booted_at.setdefault(rank, now)
             missing = _missing()
             if not missing:
                 break
@@ -914,26 +1044,29 @@ class ProcessBackend:
                 self._procs[rank].exitcode not in (None, 0)
                 for rank in missing
             )
-            if dead or time.perf_counter() >= deadline:
-                raise WorkerSyncError(
-                    point, epoch, missing, self.barrier_timeout_s
-                )
+            now = time.perf_counter()
+            overdue = [rank for rank in missing if now >= _deadline(rank)]
+            if dead or overdue:
+                unbooted = [r for r in overdue if r not in self._booted_at]
+                raise _error(missing, (
+                    f"no boot stamp after the {_WORKER_PATIENCE_S:.0f}s boot limit"
+                    if unbooted else _timeout_note(self.barrier_timeout_s)
+                ))
             # liveness poll, not a lock wait: bounded by the deadline
             time.sleep(0.002)  # hcclint: disable=blocking-call
         try:
             barrier.wait(timeout=self.barrier_timeout_s)
         except threading.BrokenBarrierError as exc:
-            raise WorkerSyncError(
-                point, epoch, _missing(), self.barrier_timeout_s
+            raise _error(
+                _missing(),
+                f"barrier broke after "
+                f"{time.perf_counter() - started:.2f}s with every rank stamped",
             ) from exc
 
     # -- stages ----------------------------------------------------------
     def pull(self, epoch: int) -> Mapping:
         buf = self._pull_bufs[epoch % len(self._pull_bufs)]
-        self._channel.encode(self.model.Q, buf.array)
-        # the merge base is the exact matrix workers decode off the wire,
-        # so pull-side quantization error cancels out of the deltas
-        self._q_base = self._channel.decode(buf.array)
+        self._q_base = encode_pull(self._channel, self.model.Q, buf.array)
         self._await(self._start_barrier, "start", epoch)
         nbytes = buf.array.nbytes
         return {"wire_bytes": nbytes * self.n_workers, "per_worker_bytes": nbytes}
@@ -951,34 +1084,23 @@ class ProcessBackend:
     def sync(self, epoch: int) -> Mapping:
         timed = self._telemetry is not None
         if timed:
-            m0 = time.perf_counter()
-        # validate every push *before* merging any of them: the epoch's
-        # sync is all-or-nothing, so a garbage payload (torn write from
-        # a dying worker, injected corruption) leaves the model at the
-        # last cleanly-synced epoch — the state a retry restarts from
-        decoded: list[np.ndarray] = []
-        for wid, buf in enumerate(self._push_bufs):
-            wire = buf.array
-            received = (
-                wire if wire.dtype == np.float32 else self._channel.decode(wire)
-            )
-            if not self._channel.payload_ok(received):
-                raise WirePayloadError(wid, epoch)
-            decoded.append(received)
+            m0, c0 = time.perf_counter(), time.process_time()
+        weights = [
+            self._sync_policy.weight(wid, self._fractions)
+            for wid in range(self.n_workers)
+        ]
+        merge_pushes(
+            self._channel, self.model.Q, self._q_base,
+            [buf.array for buf in self._push_bufs], weights, epoch,
+        )
+        # P leaves shared memory only once every push validated, so a
+        # failed epoch's in-place P updates are discarded with it
         np.copyto(self.model.P, self._p_shared.array)
-        q_base = self._q_base
-        for wid, received in enumerate(decoded):
-            weight = self._sync_policy.weight(wid, self._fractions)
-            # additive delta merge: workers trained on disjoint row-grid
-            # shards, so their Q deltas are distinct SGD steps and all
-            # of them apply
-            if weight == 1.0:
-                self.model.Q += received - q_base
-            else:
-                self.model.Q += np.float32(weight) * (received - q_base)
         if timed:
             m1 = time.perf_counter()
-            self._server_spans.append((Phase.SYNC, epoch, m0, m1))
+            self._server_spans.append(
+                (Phase.SYNC, epoch, m0, m1, time.process_time() - c0)
+            )
             self._registry.histogram(
                 "merge_seconds", "server delta-merge time per epoch"
             ).observe(m1 - m0)
@@ -988,10 +1110,13 @@ class ProcessBackend:
     def evaluate(self, epoch: int) -> float:
         timed = self._telemetry is not None
         if timed:
-            e0 = time.perf_counter()
+            e0, c0 = time.perf_counter(), time.process_time()
         rmse = self.model.rmse(self.data)
         if timed:
-            self._server_spans.append((Phase.EVAL, epoch, e0, time.perf_counter()))
+            self._server_spans.append((
+                Phase.EVAL, epoch, e0, time.perf_counter(),
+                time.process_time() - c0,
+            ))
         return rmse
 
     # -- resilience ------------------------------------------------------
@@ -1077,13 +1202,13 @@ class ProcessBackend:
                 spans.append(Span(
                     ring.worker, rec.phase, rec.start - origin,
                     rec.end - origin, rec.epoch + self.epoch_offset,
-                    rec.attempt,
+                    rec.attempt, rec.cpu,
                 ))
             dropped += ring.dropped
-        for phase, ep, s0, s1 in self._server_spans:
+        for phase, ep, s0, s1, cpu in self._server_spans:
             spans.append(Span(
                 "server", phase, s0 - origin, s1 - origin,
-                ep + self.epoch_offset, self._attempt,
+                ep + self.epoch_offset, self._attempt, cpu,
             ))
         return spans, dropped
 

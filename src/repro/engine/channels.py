@@ -20,11 +20,12 @@ A channel stack serves **both planes** with the same object:
 * the *sim* plane asks it for a :class:`~repro.core.comm.CommPlan`
   (:meth:`Channel.comm_plan`) and feeds that to
   :class:`~repro.core.comm.CommModel` for bytes-to-seconds accounting;
-* the *real* planes use its wire codec (:meth:`Channel.encode` /
-  :meth:`Channel.decode` + :attr:`Channel.wire_dtype`) over actual
-  buffers — :class:`~repro.core.comm.PullBuffer` /
-  :class:`~repro.core.comm.PushBuffer` in process, and
-  :class:`~repro.parallel.shm.SharedArray` segments across processes.
+* both training backends use its wire codec (:meth:`Channel.encode` /
+  :meth:`Channel.decode` + :attr:`Channel.wire_dtype`) and payload
+  check (:meth:`Channel.payload_ok`) through the one pull encode, push
+  encode and merge of :mod:`repro.engine.backends` — over numpy wire
+  arrays in process, and :class:`~repro.parallel.shm.SharedArray`
+  segments across processes.
 
 Channels hold no run state, so one instance is safely pickled into
 spawned worker processes; the single source of truth for what a

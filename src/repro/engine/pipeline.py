@@ -68,7 +68,7 @@ class AdditiveDeltaSync(SyncPolicy):
 
     Row-grid workers train on disjoint samples, so their deltas are
     distinct SGD steps that all apply; averaging would under-apply the
-    epoch's updates (see :mod:`repro.core.server`).
+    epoch's updates (see :func:`repro.engine.backends.merge_pushes`).
     """
 
 

@@ -45,6 +45,10 @@ class Span:
     #: which recovery attempt recorded the span (0 = the first open of
     #: the run's backend; bumped on every re-open after a failure)
     attempt: int = 0
+    #: CPU seconds the recording process consumed inside the span, when
+    #: measured (real runs).  Unlike ``duration`` it excludes time the
+    #: host ran other work, so it prices the span's own work alone.
+    cpu: "float | None" = None
 
     def __post_init__(self) -> None:
         if self.end < self.start:
@@ -62,8 +66,9 @@ class Timeline:
         self._spans: list[Span] = []
 
     def add(self, worker: str, phase: Phase, start: float, end: float,
-            epoch: int = 0, attempt: int = 0) -> Span:
-        span = Span(worker, phase, start, end, epoch, attempt)
+            epoch: int = 0, attempt: int = 0,
+            cpu: "float | None" = None) -> Span:
+        span = Span(worker, phase, start, end, epoch, attempt, cpu)
         self._spans.append(span)
         return span
 

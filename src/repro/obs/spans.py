@@ -1,7 +1,7 @@
 """Span recording for real runs: shared-memory rings, one copy, no queues.
 
 Each worker process owns a :class:`SpanRing` — a fixed-capacity record
-buffer in named shared memory.  Recording a span is four float64 stores
+buffer in named shared memory.  Recording a span is five float64 stores
 plus a cursor bump (no locks, no pickling, no queue in the hot path:
 the paper's one-copy discipline applied to telemetry itself).  The
 server drains every ring after the run — barriers order the writes
@@ -10,9 +10,10 @@ existing Chrome-trace exporter renders as the wall-clock counterpart of
 the paper's Nsight Systems screenshots.
 
 Record layout (float64 each): ``[count, dropped, (code, epoch, start,
-end) * capacity]``.  When the ring is full, new records are *dropped
-and counted* rather than overwriting history — a truncated trace that
-says so beats a silently rewritten one.
+end, cpu) * capacity]``, where ``cpu`` is the process CPU seconds spent
+inside the span (NaN when not measured).  When the ring is full, new
+records are *dropped and counted* rather than overwriting history — a
+truncated trace that says so beats a silently rewritten one.
 
 All timestamps come from ``time.perf_counter()``: on every platform we
 target it is a system-wide monotonic clock, so spans recorded in
@@ -22,6 +23,7 @@ run's origin so traces start at t=0.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ PHASE_CODES: dict[Phase, int] = {phase: i for i, phase in enumerate(Phase)}
 CODE_PHASES: dict[int, Phase] = {i: phase for phase, i in PHASE_CODES.items()}
 
 _HEADER = 2  # [0] = records written, [1] = records dropped
-_FIELDS = 4  # code, epoch, start, end
+_FIELDS = 5  # code, epoch, start, end, cpu
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,9 @@ class SpanRecord:
     #: which recovery attempt the record belongs to (a per-ring
     #: property: rings are created fresh for every backend open)
     attempt: int = 0
+    #: process CPU seconds inside the span (``time.process_time``), or
+    #: None when the writer did not measure it
+    cpu: "float | None" = None
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,8 @@ class SpanRing:
             self.close()
 
     # -- writing ---------------------------------------------------------
-    def record(self, phase: Phase, epoch: int, start: float, end: float) -> None:
+    def record(self, phase: Phase, epoch: int, start: float, end: float,
+               cpu: "float | None" = None) -> None:
         buf = self._shm.array
         count = int(buf[0])
         if count >= self.capacity:
@@ -122,6 +128,7 @@ class SpanRing:
         buf[base + 1] = epoch
         buf[base + 2] = start
         buf[base + 3] = end
+        buf[base + 4] = math.nan if cpu is None else cpu
         buf[0] = count + 1
 
     # -- reading ---------------------------------------------------------
@@ -137,13 +144,14 @@ class SpanRing:
         """All records written so far, in write order.
 
         The attempt tag is the ring's, not stored per record: one ring
-        serves exactly one backend open, so the wire format stays four
+        serves exactly one backend open, so the wire format stays five
         fields per span.
         """
         buf = self._shm.array
         out: list[SpanRecord] = []
         for i in range(self.count):
             base = _HEADER + i * _FIELDS
+            cpu = float(buf[base + 4])
             out.append(
                 SpanRecord(
                     phase=CODE_PHASES[int(buf[base])],
@@ -151,6 +159,7 @@ class SpanRing:
                     start=float(buf[base + 2]),
                     end=float(buf[base + 3]),
                     attempt=self.attempt,
+                    cpu=None if math.isnan(cpu) else cpu,
                 )
             )
         return out
@@ -159,20 +168,25 @@ class SpanRing:
 class SpanRecorder:
     """Worker-side convenience wrapper: timed context-managed spans."""
 
-    def __init__(self, ring: SpanRing, clock: Callable[[], float] = time.perf_counter):
+    def __init__(self, ring: SpanRing, clock: Callable[[], float] = time.perf_counter,
+                 cpu_clock: Callable[[], float] = time.process_time):
         self.ring = ring
         self.clock = clock
+        self.cpu_clock = cpu_clock
 
-    def record(self, phase: Phase, epoch: int, start: float, end: float) -> None:
-        self.ring.record(phase, epoch, start, end)
+    def record(self, phase: Phase, epoch: int, start: float, end: float,
+               cpu: "float | None" = None) -> None:
+        self.ring.record(phase, epoch, start, end, cpu)
 
     @contextmanager
     def span(self, phase: Phase, epoch: int):
         start = self.clock()
+        cpu_start = self.cpu_clock()
         try:
             yield
         finally:
-            self.ring.record(phase, epoch, start, self.clock())
+            self.ring.record(phase, epoch, start, self.clock(),
+                             self.cpu_clock() - cpu_start)
 
 
 def records_to_timeline(
@@ -190,7 +204,7 @@ def records_to_timeline(
     n = 0
     for rec in records:
         timeline.add(worker, rec.phase, rec.start - origin, rec.end - origin,
-                     rec.epoch + epoch_offset, rec.attempt)
+                     rec.epoch + epoch_offset, rec.attempt, rec.cpu)
         n += 1
     return n
 

@@ -44,11 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Telemetry
     from repro.resilience import FaultPlan, ResilienceSummary
 
-#: Default rendezvous ceiling; kept as a module constant for backward
-#: compatibility — configure per run via ``HCCConfig.barrier_timeout_s``
-#: or the trainer's ``barrier_timeout_s=``.
-_BARRIER_TIMEOUT_S = 120.0
-
 
 @dataclass
 class ParallelTrainResult:
@@ -87,7 +82,6 @@ class SharedMemoryTrainer:
         fractions: list[float] | None = None,
         seed: int = 0,
         telemetry: "Telemetry | None" = None,
-        fail_worker_at: tuple[int, int] | None = None,
         partition=None,
         channel: "Channel | None" = None,
         config: "HCCConfig | None" = None,
@@ -101,7 +95,12 @@ class SharedMemoryTrainer:
     ):
         # imported lazily to avoid a module-level cycle with
         # repro.engine.backends (which maps repro.parallel.shm segments)
-        from repro.engine import QOnlyChannel, channel_for, provider_from
+        from repro.engine import (
+            DEFAULT_BARRIER_TIMEOUT_S,
+            QOnlyChannel,
+            channel_for,
+            provider_from,
+        )
 
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
@@ -135,13 +134,10 @@ class SharedMemoryTrainer:
         elif config is not None:
             self.barrier_timeout_s = config.barrier_timeout_s
         else:
-            self.barrier_timeout_s = _BARRIER_TIMEOUT_S
+            self.barrier_timeout_s = DEFAULT_BARRIER_TIMEOUT_S
         #: opt-in runtime telemetry (None = zero-overhead path)
         self.telemetry = telemetry
-        #: fault-injection hook for tests: (worker_id, epoch) that crashes
-        self.fail_worker_at = fail_worker_at
-        #: structured fault injection (docs/resilience.md); supersedes
-        #: ``fail_worker_at`` — ProcessBackend rejects passing both
+        #: structured fault injection (docs/resilience.md)
         self.fault_plan = fault_plan
         #: recovery policy; falls back to the config's, when one is given
         if recovery is not None:
@@ -171,7 +167,6 @@ class SharedMemoryTrainer:
             batch_size=self.batch_size,
             seed=self.seed,
             barrier_timeout_s=self.barrier_timeout_s,
-            fail_worker_at=self.fail_worker_at,
             fault_plan=self.fault_plan,
         )
         engine = EpochEngine(

@@ -215,6 +215,13 @@ def _process_degraded_ratio(telemetry, decisions) -> "float | None":
     names that attempt), plus the server's merge time.  An epoch is
     degraded iff a redistribute decision landed at or before it.
 
+    Each stage is priced by the CPU seconds its process spent inside it
+    (``Span.cpu``) where the span measured them, else by its wall
+    duration.  The sim's analytic cost prices work on dedicated
+    processors; wall time would also count every slice the host gave to
+    other work (more workers than cores, a loaded machine), which at
+    harness scale swings a single epoch by multiples.
+
     The earliest completed epoch is excluded: its measured duration is
     dominated by warm-up (cold caches, first-touch page faults) that
     the sim's analytic cost has no counterpart for, and at harness
@@ -234,6 +241,10 @@ def _process_degraded_ratio(telemetry, decisions) -> "float | None":
               if action == RecoveryAction.REDISTRIBUTE.value]
     healthy: list[float] = []
     degraded: list[float] = []
+
+    def cost(s) -> float:
+        return s.duration if s.cpu is None else s.cpu
+
     for epoch, attempt in completed.items():
         per_worker: dict[str, float] = {}
         sync_s = 0.0
@@ -241,9 +252,9 @@ def _process_degraded_ratio(telemetry, decisions) -> "float | None":
             if s.epoch != epoch or s.attempt != attempt:
                 continue
             if s.phase in (Phase.PULL, Phase.COMPUTE, Phase.PUSH):
-                per_worker[s.worker] = per_worker.get(s.worker, 0.0) + s.duration
+                per_worker[s.worker] = per_worker.get(s.worker, 0.0) + cost(s)
             elif s.phase is Phase.SYNC:
-                sync_s += s.duration
+                sync_s += cost(s)
         if not per_worker:
             continue
         duration = max(per_worker.values()) + sync_s

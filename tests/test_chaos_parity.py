@@ -17,6 +17,7 @@ import pytest
 from repro.core.cost_model import Regime, TimeCostModel
 from repro.core.partition import PartitionPlan
 from repro.data.datasets import NETFLIX
+from repro.hardware.timeline import Phase
 from repro.hardware.topology import paper_workstation
 from repro.resilience.policy import redistribute
 from repro.testing import (
@@ -97,6 +98,51 @@ class TestDefaultMatrixSim:
         outcome = run_scenario(scenario, "sim")
         assert outcome.degraded_ratio is not None
         assert outcome.degraded_ratio > 0
+
+
+class TestProcessDegradedRatio:
+    """The process plane's drift input prices stages by CPU seconds."""
+
+    @staticmethod
+    def _telemetry(healthy_wall: float):
+        from types import SimpleNamespace
+
+        from repro.hardware.timeline import Timeline
+
+        tl = Timeline()
+        # epoch 0 is the excluded warm-up; epoch 1 healthy, 2 degraded.
+        # Both priced epochs cost 1 CPU second, but the healthy one was
+        # held off the CPU for most of its wall time.
+        for epoch, wall in ((0, 1.0), (1, healthy_wall), (2, 1.0)):
+            tl.add("worker-0", Phase.COMPUTE, 0.0, wall, epoch, cpu=1.0)
+            tl.add("server", Phase.SYNC, wall, wall, epoch, cpu=0.0)
+        return SimpleNamespace(timeline=tl)
+
+    def test_host_preemption_does_not_move_the_ratio(self):
+        from repro.testing.parity import _process_degraded_ratio
+
+        decisions = ((2, "WorkerSyncError", "redistribute"),)
+        for healthy_wall in (1.0, 4.0):
+            ratio = _process_degraded_ratio(
+                self._telemetry(healthy_wall), decisions
+            )
+            assert ratio == pytest.approx(1.0)
+
+    def test_wall_duration_when_cpu_unmeasured(self):
+        from types import SimpleNamespace
+
+        from repro.hardware.timeline import Timeline
+        from repro.testing.parity import _process_degraded_ratio
+
+        tl = Timeline()
+        for epoch, wall in ((0, 1.0), (1, 1.0), (2, 2.0)):
+            tl.add("worker-0", Phase.COMPUTE, 0.0, wall, epoch)
+            tl.add("server", Phase.SYNC, wall, wall, epoch)
+        ratio = _process_degraded_ratio(
+            SimpleNamespace(timeline=tl),
+            ((2, "WorkerSyncError", "redistribute"),),
+        )
+        assert ratio == pytest.approx(2.0)
 
 
 class TestRandomizedSweep:

@@ -1,4 +1,4 @@
-"""Unit tests for the COMM module: traffic plans, backends, buffers."""
+"""Unit tests for the COMM module: traffic plans, backends, wire buffers."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,11 @@ from repro.core.comm import (
     COMM_P_BANDWIDTH_FACTOR,
     CommModel,
     CommPlan,
-    PullBuffer,
-    PushBuffer,
 )
 from repro.core.config import CommBackendKind, CommConfig, TransmitMode
 from repro.data.datasets import NETFLIX, YAHOO_R1
+from repro.engine.backends import encode_pull, encode_push
+from repro.engine.channels import Channel, Fp16Channel
 from repro.hardware.specs import PCIE3_X16
 
 
@@ -105,45 +105,32 @@ class TestCommModel:
 
 
 class TestBuffers:
+    """The pull/push wire arrays that replaced the buffer objects."""
+
     def test_pull_roundtrip_fp32(self):
-        buf = PullBuffer((4, 6))
+        channel = Channel()
+        wire = np.zeros((4, 6), dtype=channel.wire_dtype)
         data = np.arange(24, dtype=np.float32).reshape(4, 6)
-        buf.deposit(data)
-        np.testing.assert_array_equal(buf.read(), data)
+        base = encode_pull(channel, data, wire)
+        np.testing.assert_array_equal(base, data)
+        np.testing.assert_array_equal(channel.decode(wire), data)
 
     def test_pull_fp16_roundtrip_close(self):
-        buf = PullBuffer((4, 6), fp16=True)
+        channel = Fp16Channel()
+        wire = np.zeros((4, 6), dtype=channel.wire_dtype)
         data = np.linspace(0.1, 2.0, 24, dtype=np.float32).reshape(4, 6)
-        buf.deposit(data)
-        np.testing.assert_allclose(buf.read(), data, rtol=1e-3)
-
-    def test_pull_fp16_half_footprint(self):
-        assert PullBuffer((10, 10), fp16=True).nbytes == PullBuffer((10, 10)).nbytes // 2
-
-    def test_copy_counters(self):
-        buf = PullBuffer((2, 2))
-        buf.deposit(np.zeros((2, 2), dtype=np.float32))
-        buf.read()
-        buf.read()
-        assert buf.copies_in == 1
-        assert buf.reads == 2
-
-    def test_shape_mismatch_rejected(self):
-        buf = PullBuffer((2, 2))
-        with pytest.raises(ValueError, match="shape"):
-            buf.deposit(np.zeros((3, 3), dtype=np.float32))
-
-    def test_push_consume_zero_copy_fp32(self):
-        buf = PushBuffer((3, 3))
-        data = np.ones((3, 3), dtype=np.float32)
-        buf.deposit(data)
-        view = buf.consume()
-        assert view is buf._buf  # in-place consumption
-        assert buf.consumed == 1
+        base = encode_pull(channel, data, wire)
+        np.testing.assert_allclose(base, data, rtol=1e-3)
+        np.testing.assert_array_equal(channel.decode(wire), base)
 
     def test_push_fp16_decompresses(self):
-        buf = PushBuffer((2, 2), fp16=True)
-        buf.deposit(np.full((2, 2), 0.5, dtype=np.float32))
-        out = buf.consume()
+        channel = Fp16Channel()
+        pull_wire = np.zeros((2, 2), dtype=channel.wire_dtype)
+        push_wire = np.zeros((2, 2), dtype=channel.wire_dtype)
+        encode_push(
+            channel, np.full((2, 2), 0.5, dtype=np.float32), pull_wire,
+            push_wire, faults=(), global_epoch=0,
+        )
+        out = channel.decode(push_wire)
         assert out.dtype == np.float32
         np.testing.assert_allclose(out, 0.5)

@@ -81,6 +81,19 @@ class TestWireFormat:
         assert out.dtype == np.float32
         assert out is not wire  # decode is the receiver's own copy
 
+    def test_fp16_wire_array_has_half_the_fp32_footprint(self):
+        fp32 = np.zeros((10, 10), dtype=QOnlyChannel().wire_dtype)
+        fp16 = np.zeros((10, 10), dtype=Fp16Channel(QOnlyChannel()).wire_dtype)
+        assert fp16.nbytes == fp32.nbytes // 2
+
+    @pytest.mark.parametrize(
+        "channel", [QOnlyChannel(), Fp16Channel(QOnlyChannel())], ids=["fp32", "fp16"]
+    )
+    def test_encode_rejects_shape_mismatch(self, channel):
+        wire = np.zeros((2, 2), dtype=channel.wire_dtype)
+        with pytest.raises(ValueError, match="shape"):
+            channel.encode(np.zeros((3, 3), dtype=np.float32), wire)
+
     def test_fp16_codec_roundtrip_within_half_precision(self):
         ch = Fp16Channel(QOnlyChannel())
         values = np.random.default_rng(1).standard_normal((N, K)).astype(np.float32)

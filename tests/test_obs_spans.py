@@ -81,6 +81,28 @@ class TestSpanRecorder:
         assert (record.start, record.end) == (10.0, 11.0)
         assert record.epoch == 3
 
+    def test_span_records_cpu_seconds(self, ring):
+        walls = iter([10.0, 11.0])
+        cpus = iter([2.0, 2.25])
+        rec = SpanRecorder(ring, clock=lambda: next(walls),
+                           cpu_clock=lambda: next(cpus))
+        with rec.span(Phase.COMPUTE, 0):
+            pass
+        assert ring.drain()[0].cpu == pytest.approx(0.25)
+
+    def test_unmeasured_cpu_drains_as_none(self, ring):
+        ring.record(Phase.PULL, 0, 1.0, 1.5)
+        assert ring.drain()[0].cpu is None
+
+    def test_cpu_reaches_the_timeline(self, ring):
+        from repro.hardware.timeline import Timeline
+
+        ring.record(Phase.COMPUTE, 0, 0.0, 1.0, cpu=0.4)
+        tl = Timeline()
+        records_to_timeline(tl, "worker-0", ring.drain())
+        assert tl.spans[0].cpu == pytest.approx(0.4)
+        assert tl.spans[0].duration == pytest.approx(1.0)
+
     def test_span_records_even_on_exception(self, ring):
         rec = SpanRecorder(ring)
         with pytest.raises(RuntimeError):

@@ -4,11 +4,24 @@ These spawn real OS processes; sizes are kept small so the whole module
 runs in a few seconds.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.data.datasets import NETFLIX
+from repro.engine.channels import QOnlyChannel
 from repro.parallel.executor import ParallelTrainResult, SharedMemoryTrainer
+from repro.resilience import FaultPlan
+
+
+class _SlowBootChannel(QOnlyChannel):
+    """A Q-only stack whose unpickling in a spawned worker takes 2.5 s:
+    a worker boot slower than the barrier timeout it is run with."""
+
+    def __setstate__(self, state):
+        time.sleep(2.5)
+        self.__dict__.update(state)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +55,8 @@ class TestSharedMemoryTrainer:
         error, not a hang, and shared memory must be reclaimed (the
         next run succeeds)."""
         bad = SharedMemoryTrainer(
-            data, k=8, n_workers=2, lr=0.01, seed=0, fail_worker_at=(1, 1)
+            data, k=8, n_workers=2, lr=0.01, seed=0,
+            fault_plan=FaultPlan().kill(1, 1),
         )
         with pytest.raises(RuntimeError, match="worker process failed"):
             bad.train(epochs=3)
@@ -152,7 +166,8 @@ class TestBarrierDiagnostics:
         from repro.engine import WorkerSyncError
 
         bad = SharedMemoryTrainer(
-            data, k=8, n_workers=2, lr=0.01, seed=0, fail_worker_at=(1, 1)
+            data, k=8, n_workers=2, lr=0.01, seed=0,
+            fault_plan=FaultPlan().kill(1, 1),
         )
         with pytest.raises(WorkerSyncError) as excinfo:
             bad.train(epochs=3)
@@ -163,6 +178,60 @@ class TestBarrierDiagnostics:
         assert 1 in err.missing_ranks
         assert "worker-1" in str(err)
         assert err.epoch == 1
+
+    def test_sync_error_names_the_exit_code_not_the_timeout(self, data):
+        """A dead rank is caught by its exit code in milliseconds; the
+        message must say so instead of quoting the configured timeout."""
+        from repro.engine import WorkerSyncError
+
+        bad = SharedMemoryTrainer(
+            data, k=8, n_workers=2, lr=0.01, seed=0, barrier_timeout_s=120,
+            fault_plan=FaultPlan().kill(1, 1, hard=True),
+        )
+        with pytest.raises(WorkerSyncError) as excinfo:
+            bad.train(epochs=3)
+        message = str(excinfo.value)
+        assert "worker-1 exited with code 13 after" in message
+        assert "120s" not in message
+
+    def test_sim_sync_error_names_the_simulated_exit_code(self, data):
+        from repro.engine import EpochEngine, QOnlyChannel, SimBackend, WorkerSyncError
+        from repro.experiments.platforms import workers_platform
+
+        backend = SimBackend(
+            workers_platform(2), ratings=data.shuffle(0), k=8, seed=0,
+            barrier_timeout_s=120, fault_plan=FaultPlan().kill(1, 1, hard=True),
+        )
+        with pytest.raises(WorkerSyncError) as excinfo:
+            EpochEngine(backend, channel=QOnlyChannel()).run(3)
+        message = str(excinfo.value)
+        assert "worker-1 exited with code 13" in message
+        assert "120s" not in message
+
+    def test_slow_worker_boot_is_not_a_straggler(self, data):
+        """Spawn start-up never counts against barrier_timeout_s: workers
+        that take longer than the timeout to boot still train cleanly."""
+        from repro.engine import EpochEngine, ProcessBackend
+
+        backend = ProcessBackend(
+            data, k=8, n_workers=2, lr=0.01, seed=0, barrier_timeout_s=1.0
+        )
+        result = EpochEngine(backend, channel=_SlowBootChannel()).run(2)
+        assert len(result.rmse_history) == 2
+
+    def test_straggler_error_names_the_timeout(self, data):
+        from repro.engine import EpochEngine, QOnlyChannel, SimBackend, WorkerSyncError
+        from repro.experiments.platforms import workers_platform
+
+        backend = SimBackend(
+            workers_platform(2), ratings=data.shuffle(0), k=8, seed=0,
+            barrier_timeout_s=5,
+            fault_plan=FaultPlan().delay_barrier(0, 1, seconds=60.0),
+        )
+        with pytest.raises(WorkerSyncError) as excinfo:
+            EpochEngine(backend, channel=QOnlyChannel()).run(3)
+        assert "no stamp after the 5s timeout" in str(excinfo.value)
+        assert "exited" not in str(excinfo.value)
 
     def test_config_sets_barrier_timeout(self, data):
         from repro.core.config import HCCConfig
