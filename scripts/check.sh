@@ -90,17 +90,20 @@ stage lint "flow-lint" python -m repro lint \
 stage test "race-check" python -m repro race-check --inject-overlap
 
 # 2b. instrumented-run smoke: a tiny real training must produce a
-# loadable Chrome trace (the telemetry plane's end-to-end guarantee)
+# loadable Chrome trace (the telemetry plane's end-to-end guarantee);
+# the ring-rotation mode runs through the same engine and must too
 obs_smoke() {
-    local tmpdir trace metrics
+    local tmpdir trace metrics transmit rc=0
     tmpdir="$(mktemp -d)" || return 1
     trace="$tmpdir/run.json"
     metrics="$tmpdir/run.jsonl"
-    python -m repro train --nnz 2000 --epochs 2 --k 8 \
-        --trace "$trace" --metrics "$metrics" \
-        && python -m repro obs-report --trace "$trace" --metrics "$metrics" \
-            > /dev/null
-    local rc=$?
+    for transmit in auto q-rotate; do
+        python -m repro train --nnz 2000 --epochs 2 --k 8 \
+            --transmit "$transmit" --trace "$trace" --metrics "$metrics" \
+            && python -m repro obs-report --trace "$trace" \
+                --metrics "$metrics" > /dev/null \
+            || { rc=1; break; }
+    done
     rm -rf "$tmpdir"
     return "$rc"
 }

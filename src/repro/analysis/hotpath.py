@@ -19,7 +19,6 @@ import re
 #: Per-sample / per-batch SGD code: allocation there multiplies by nnz.
 HOT_PATH_MODULES = frozenset(
     {
-        "repro/core/worker.py",
         "repro/engine/backends.py",
         "repro/mf/kernels.py",
         "repro/parallel/executor.py",
@@ -39,7 +38,6 @@ KERNEL_MODULES = frozenset(
 #: Worker/server loop bodies: a blocking call here stalls an epoch.
 WORKER_LOOP_MODULES = frozenset(
     {
-        "repro/core/worker.py",
         "repro/engine/backends.py",
         "repro/parallel/executor.py",
     }
@@ -77,7 +75,6 @@ TIMING_MODULES = frozenset(
         "repro/hardware/profiler.py",
         "repro/engine/backends.py",
         "repro/parallel/executor.py",
-        "repro/core/worker.py",
         # the perf-trajectory plane measures everything it reports; the
         # prefix above already covers these, but they are named here so
         # moving them out of repro/obs/ cannot silently drop the rule
@@ -88,12 +85,11 @@ TIMING_MODULES = frozenset(
 
 #: Modules allowed to contain epoch-loop orchestration (HCC111): the
 #: engine layer owns the pull/compute/push/sync sequence; the legacy
-#: plane modules may keep only delegating facades and the rotation loop.
+#: plane modules may keep only delegating facades.
 EPOCH_LOOP_MODULE_PREFIXES = ("repro/engine/",)
 EPOCH_LOOP_GUARDED_MODULES = frozenset(
     {
         "repro/core/framework.py",
-        "repro/core/worker.py",
         "repro/parallel/executor.py",
         "repro/parallel/tuning.py",
     }

@@ -678,8 +678,7 @@ class EpochLoopRule(Rule):
         "repro/engine/ (EpochEngine).  An epoch loop reappearing in a "
         "legacy plane module means the facade is growing its own "
         "orchestration again, and the two planes can silently diverge.  "
-        "Sanctioned non-pipeline loops (the Q-rotation mode) carry an "
-        "explicit suppression."
+        "A sanctioned non-pipeline loop carries an explicit suppression."
     )
 
     #: calls that mark a loop body as *driving* the training pipeline
@@ -691,7 +690,6 @@ class EpochLoopRule(Rule):
         "compute",
         "begin_epoch",
         "run_epoch",
-        "run_rotation_step",
     }
 
     def check(self, ctx: FileContext) -> Iterator[LintIssue]:

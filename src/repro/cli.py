@@ -189,8 +189,10 @@ def _train_process(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if args.transmit == "q-rotate":
-        print("--transmit q-rotate has no pull/push/sync stages for the "
-              "process engine to drive; use --executor model", file=sys.stderr)
+        print("--transmit q-rotate trains the global Q in place under "
+              "ring-rotated ownership, which shared-memory workers cannot "
+              "express; rotation runs on the sim plane through the engine "
+              "(use --executor model)", file=sys.stderr)
         return 2
     if args.partition == "dp2":
         print("--partition dp2 staggers against *modeled* sync costs; the "

@@ -32,7 +32,6 @@ from repro.core.partition import (
     even_partition,
     exposed_sync_time,
 )
-from repro.core.worker import WorkerRuntime
 from repro.core.framework import HCCMF, TrainResult
 from repro.core.autotune import autotune, tuned_config, TunedConfig, TuningReport
 from repro.core.checkpoint import (
@@ -70,7 +69,6 @@ __all__ = [
     "dp2",
     "even_partition",
     "exposed_sync_time",
-    "WorkerRuntime",
     "HCCMF",
     "TrainResult",
     "autotune",

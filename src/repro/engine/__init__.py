@@ -43,7 +43,6 @@ from repro.engine.partitions import (
     FractionsProvider,
     PartitionProvider,
     as_provider,
-    provider_from,
 )
 from repro.engine.pipeline import (
     RECOVERABLE_ERRORS,
@@ -85,5 +84,4 @@ __all__ = [
     "WorkerSyncError",
     "as_provider",
     "channel_for",
-    "provider_from",
 ]

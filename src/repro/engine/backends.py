@@ -3,9 +3,9 @@
 Two substrates implement the :class:`~repro.engine.pipeline.ComputeBackend`
 protocol:
 
-* :class:`SimBackend` — the in-process plane.  Workers are
-  :class:`~repro.core.worker.WorkerRuntime` objects taking turns on the
-  host; feature traffic crosses plain numpy wire arrays of the channel
+* :class:`SimBackend` — the in-process plane.  Workers take turns on
+  the host, each running :func:`_train_shard` over its row-sorted
+  shard; feature traffic crosses plain numpy wire arrays of the channel
   stack's wire dtype; an optional
   :class:`~repro.core.cost_model.TimeCostModel` advances the simulated
   clock one epoch cost per epoch (the "cost-model advance").
@@ -25,7 +25,11 @@ onto its push wire, with drop/corrupt fault injection) and
 
 Both backends execute the identical stage sequence under
 :class:`~repro.engine.pipeline.EpochEngine`; the ``engine-parity`` CI
-stage diffs their stage traces and per-worker update counts.
+stage diffs their stage traces and per-worker update counts.  The
+paper's future-work ring rotation (a q-rotate channel, see
+:func:`_rotates_q`) is a mode of :class:`SimBackend` under the same
+engine loop: workers train the global Q in place on disjoint column
+blocks, so pull and push only account bytes and sync merges nothing.
 """
 
 from __future__ import annotations
@@ -203,6 +207,42 @@ def merge_pushes(
             q += np.float32(weight) * (received - base)
 
 
+def _rotates_q(channel: Channel) -> bool:
+    """Is this a ring-rotation (q-rotate) channel stack?
+
+    Column-block ownership removes the server merge, and the stack's
+    traffic accounting says so: it syncs no values.
+    """
+    return channel.traffic(2, 1, 1).sync_values == 0
+
+
+# ---------------------------------------------------------------------------
+# the shard loop (one per worker epoch, on either plane)
+# ---------------------------------------------------------------------------
+def _train_shard(
+    model: MFModel,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    order: np.ndarray,
+    batch_size: int,
+    lr: float,
+    reg: float,
+    policy: ConflictPolicy,
+) -> None:
+    """Batched SGD over a worker's shard, visiting entries in ``order``.
+
+    The shard is row-sorted (CuMF_SGD's block sorting); ``order`` is the
+    epoch's permutation of it, or in rotation the part of that
+    permutation inside one owned column block.
+    """
+    for lo in range(0, len(order), batch_size):
+        sel = order[lo : lo + batch_size]
+        sgd_batch_update(
+            model, rows[sel], cols[sel], vals[sel], lr, reg, policy=policy
+        )
+
+
 # ---------------------------------------------------------------------------
 # sim backend (in-process numerics + cost-model clock)
 # ---------------------------------------------------------------------------
@@ -211,11 +251,22 @@ class SimBackend:
 
     ``ratings`` must already be in row-grid orientation and shuffled
     (what :meth:`repro.core.framework.HCCMF.prepare` produces); the
-    backend partitions them by the engine-resolved plan.  ``cost_model``
-    is optional: when given, every epoch advances :attr:`sim_seconds`
+    backend partitions them by the engine-resolved plan.  Each worker
+    trains its row-sorted shard with :func:`_train_shard` under its
+    processor's conflict policy — last-write-wins on GPUs (CuMF-style),
+    atomic accumulation on CPUs (FPSGD-style) — drawing one permutation
+    per epoch from an RNG seeded ``seed + rank``.  ``cost_model`` is
+    optional: when given, every epoch advances :attr:`sim_seconds`
     by that plan's analytic epoch cost — priced over the *surviving*
     workers after a redistribution, which is the cost model's
     degraded-epoch path.
+
+    A q-rotate channel selects the ring-rotation mode (the paper's
+    future work): Q's columns split into one block per worker, and in
+    sub-step ``s`` of an epoch worker ``i`` trains its entries in block
+    ``(i + s) mod p``.  Ownership is disjoint within a sub-step, so
+    workers update the global P and Q in place; pull and push account
+    the ring hops' bytes without copying and sync merges nothing.
 
     ``fault_plan`` executes the same
     :class:`~repro.resilience.faults.FaultPlan` kinds the process plane
@@ -226,6 +277,7 @@ class SimBackend:
     payloads go through the same :func:`encode_push` and
     :func:`merge_pushes` as on the process plane: a drop merges a zero
     delta, a corruption fails the payload check before any merge.
+    Rotation pushes no payload, so it rejects drop and corrupt faults.
     """
 
     name = "sim"
@@ -283,13 +335,21 @@ class SimBackend:
         self._attempt = -1
         self._run_timeline: Timeline | None = None
         self._run_origin: float | None = None
-        self._p_snapshot: np.ndarray | None = None
+        self._snapshot: tuple[np.ndarray, ...] = ()
 
     # -- lifecycle -------------------------------------------------------
     def open(self, plan, channel: Channel, sync_policy: "SyncPolicy",
              telemetry, epochs: int) -> None:
-        from repro.core.worker import WorkerRuntime
-
+        self._rotating = _rotates_q(channel)
+        if self._rotating:
+            payload_faults = sorted(
+                {f.kind for f in self.fault_plan.faults} & {DROP, CORRUPT}
+            )
+            if payload_faults:
+                raise ValueError(
+                    f"{'/'.join(payload_faults)} faults act on a push payload, "
+                    "and q-rotate trains Q in place without pushing one"
+                )
         data = self.ratings
         self._eval_set = self.eval_data if self.eval_data is not None else data
         self._fractions = plan.fractions
@@ -307,29 +367,40 @@ class SimBackend:
         else:
             self.model = MFModel.init_for(data, self.k, seed=self.seed)
         assignments = partition_rows(data, plan.fractions, GridKind.ROW)
-        self.runtimes = [
-            WorkerRuntime(
-                i, proc, assignment, data,
-                batch_size=self.batch_size, seed=self.seed, metrics=registry,
-            )
-            for i, (proc, assignment) in enumerate(
-                zip(self._platform_workers, assignments)
-            )
+        # per worker: the row-sorted shard (block_sort on a row grid), the
+        # processor's conflict policy and its own RNG stream
+        self._shards = [a.extract(data).sort_by_row() for a in assignments]
+        self._policies = [
+            ConflictPolicy.LAST_WRITE if w.is_gpu else ConflictPolicy.ATOMIC
+            for w in self._platform_workers
+        ]
+        self._rngs = [
+            np.random.default_rng(self.seed + rank) for rank in range(self.n_workers)
         ]
         # replay already-completed epochs out of each worker's RNG
-        # stream: one permutation draw per epoch (WorkerRuntime.run_epoch
-        # draws exactly one), so a resumed run is bitwise-identical to
-        # the straight-through run it continues
+        # stream: one permutation draw per epoch (compute draws exactly
+        # one), so a resumed run is bitwise-identical to the
+        # straight-through run it continues
         for _ in range(self.epoch_offset):
-            for rt in self.runtimes:
-                rt.rng.permutation(rt.nnz)
-        # the wire arrays the SharedArray segments are on the process
-        # plane: one pull wire, one push wire per worker
+            for rng, shard in zip(self._rngs, self._shards):
+                rng.permutation(shard.nnz)
         shape, wire = self.model.Q.shape, channel.wire_dtype
-        self._pull_wire = np.zeros(shape, dtype=wire)
-        self._push_wires = [
-            np.zeros(shape, dtype=wire) for _ in range(self.n_workers)
-        ]
+        self._wire_nbytes = self.model.Q.size * channel.wire_itemsize
+        if self._rotating:
+            # each entry's column block, indexed once: blocks split Q's
+            # columns evenly, one per worker
+            edges = np.linspace(0, data.n, self.n_workers + 1, dtype=np.int64)
+            self._col_blocks = [
+                np.searchsorted(edges, shard.cols, side="right") - 1
+                for shard in self._shards
+            ]
+        else:
+            # the wire arrays the SharedArray segments are on the process
+            # plane: one pull wire, one push wire per worker
+            self._pull_wire = np.zeros(shape, dtype=wire)
+            self._push_wires = [
+                np.zeros(shape, dtype=wire) for _ in range(self.n_workers)
+            ]
         self._q_base: np.ndarray | None = None
         # degraded-epoch costing: after a redistribution the plan's
         # fractions cover only the surviving workers, so the epoch is
@@ -343,7 +414,7 @@ class SimBackend:
         )
         self._attempt += 1
         self._sim_exitcodes = {}
-        self._p_snapshot = None
+        self._snapshot = ()
         if self._attempt == 0:
             self.sim_seconds = 0.0
         # wall-clock spans only when telemetry opts the run in — the
@@ -364,6 +435,23 @@ class SimBackend:
 
     def _now(self) -> float:
         return time.perf_counter() - self._t_origin
+
+    def _span(self, lane: str, phase: Phase, t0: float, epoch: int) -> float:
+        """Record one timed span ending now; returns its end time."""
+        t1 = self._now()
+        self._timeline.add(
+            lane, phase, t0, t1, epoch + self.epoch_offset, self._attempt
+        )
+        return t1
+
+    def _count_bytes(self, name: str, help_text: str) -> dict:
+        """Per-worker wire bytes of one pull or push, counted and returned."""
+        nbytes = self._wire_nbytes
+        if self._timed:
+            counter = self._registry.counter(name, help_text)
+            for rank in range(self.n_workers):
+                counter.inc(nbytes, worker=f"worker-{rank}")
+        return {"wire_bytes": nbytes * self.n_workers, "per_worker_bytes": nbytes}
 
     # -- fault injection -------------------------------------------------
     def _faults_at(self, kind: str, epoch: int) -> list[Fault]:
@@ -409,39 +497,36 @@ class SimBackend:
         if delays:
             self.sim_seconds += max(f.seconds for f in delays)
 
-    def _restore_p(self) -> None:
-        """Roll P back to its pre-epoch state on a failed epoch.
+    def _rollback(self) -> None:
+        """Roll the factors back to their pre-compute state on a failed epoch.
 
         The process plane only copies P out of shared memory after all
         payloads validate, so a failed epoch's P updates are discarded
-        there; the sim trains P in place and must undo the same way.
+        there; the sim trains P in place (and in rotation Q too) and
+        must undo the same way.
         """
-        if self._p_snapshot is not None:
-            np.copyto(self.model.P, self._p_snapshot)
-            self._p_snapshot = None
+        for live, saved in zip((self.model.P, self.model.Q), self._snapshot):
+            np.copyto(live, saved)
+        self._snapshot = ()
 
     # -- stages ----------------------------------------------------------
     def pull(self, epoch: int) -> Mapping:
         if self.fault_plan:
             self._inject_epoch_top(epoch)
+        detail = self._count_bytes("bytes_pulled_total", "bytes pulled per worker")
+        if self._rotating:
+            # ring hops between peers: bytes are accounted, nothing copied
+            return detail
         self._q_base = encode_pull(self._channel, self.model.Q, self._pull_wire)
-        nbytes = self._pull_wire.nbytes
         self._q_locals = []
-        for rt in self.runtimes:
+        for rank in range(self.n_workers):
             if self._timed:
                 t0 = self._now()
             # the worker's single per-epoch copy, decoded off the wire
-            q_local = self._channel.decode(self._pull_wire)
+            self._q_locals.append(self._channel.decode(self._pull_wire))
             if self._timed:
-                self._timeline.add(
-                    f"worker-{rt.worker_id}", Phase.PULL, t0, self._now(),
-                    epoch + self.epoch_offset, self._attempt,
-                )
-                self._registry.counter(
-                    "bytes_pulled_total", "bytes pulled per worker"
-                ).inc(nbytes, worker=f"worker-{rt.worker_id}")
-            self._q_locals.append(q_local)
-        return {"wire_bytes": nbytes * self.n_workers, "per_worker_bytes": nbytes}
+                self._span(f"worker-{rank}", Phase.PULL, t0, epoch)
+        return detail
 
     def compute(self, epoch: int) -> Mapping:
         if self.fault_plan:
@@ -450,37 +535,49 @@ class SimBackend:
                 for f in self._faults_at(DELAY, epoch)
             )
             if fails_after_compute:
-                self._p_snapshot = self.model.P.copy()  # hcclint: disable=hot-copy
-        self._q_news = []
-        for rt, q_local in zip(self.runtimes, self._q_locals):
-            if self._timed:
-                t0 = self._now()
-            q_new, _ = rt.run_epoch(self.model.P, q_local, self.lr, self.reg)
-            if self._timed:
-                self._timeline.add(
-                    f"worker-{rt.worker_id}", Phase.COMPUTE, t0, self._now(),
-                    epoch + self.epoch_offset, self._attempt,
+                # P trains in place, and in rotation Q does too
+                self._snapshot = (self.model.P.copy(),)  # hcclint: disable=hot-copy
+                if self._rotating:
+                    self._snapshot += (self.model.Q.copy(),)  # hcclint: disable=hot-copy
+        p = self.n_workers
+        orders = [rng.permutation(s.nnz) for rng, s in zip(self._rngs, self._shards)]
+        models = (
+            [self.model] * p if self._rotating
+            else [MFModel(self.model.P, q) for q in self._q_locals]
+        )
+        for step in range(p if self._rotating else 1):
+            for rank, (shard, order) in enumerate(zip(self._shards, orders)):
+                if self._rotating:
+                    owned = (rank + step) % p
+                    order = order[self._col_blocks[rank][order] == owned]
+                if self._timed:
+                    t0 = self._now()
+                _train_shard(
+                    models[rank], shard.rows, shard.cols, shard.vals, order,
+                    self.batch_size, self.lr, self.reg, self._policies[rank],
                 )
-            self._q_news.append(q_new)
-        return {"updates": tuple(rt.nnz for rt in self.runtimes)}
+                if self._timed:
+                    self._span(f"worker-{rank}", Phase.COMPUTE, t0, epoch)
+        self._q_news = [m.Q for m in models]
+        updates = tuple(s.nnz for s in self._shards)
+        if self._timed:
+            counter = self._registry.counter("updates_total", "SGD updates applied")
+            for rank, n in enumerate(updates):
+                counter.inc(n, worker=f"worker-{rank}")
+        return {"updates": updates}
 
     def push(self, epoch: int) -> Mapping:
-        nbytes = self._push_wires[0].nbytes
-        for rt, q_new, wire in zip(self.runtimes, self._q_news, self._push_wires):
-            if self._timed:
-                t0 = self._now()
-            encode_push(
-                self._channel, q_new, self._pull_wire, wire,
-                self.fault_plan.for_rank(rt.worker_id), epoch + self.epoch_offset,
-            )
-            if self._timed:
-                self._timeline.add(
-                    f"worker-{rt.worker_id}", Phase.PUSH, t0, self._now(),
-                    epoch + self.epoch_offset, self._attempt,
+        if not self._rotating:
+            for rank, (q_new, wire) in enumerate(zip(self._q_news, self._push_wires)):
+                if self._timed:
+                    t0 = self._now()
+                encode_push(
+                    self._channel, q_new, self._pull_wire, wire,
+                    self.fault_plan.for_rank(rank), epoch + self.epoch_offset,
                 )
-                self._registry.counter(
-                    "bytes_pushed_total", "bytes pushed per worker"
-                ).inc(nbytes, worker=f"worker-{rt.worker_id}")
+                if self._timed:
+                    self._span(f"worker-{rank}", Phase.PUSH, t0, epoch)
+        detail = self._count_bytes("bytes_pushed_total", "bytes pushed per worker")
         end_delays = [
             f for f in self._faults_at(DELAY, epoch) if f.point == "end"
         ]
@@ -488,15 +585,28 @@ class SimBackend:
             {f.rank for f in end_delays if f.seconds > self.barrier_timeout_s}
         ))
         if late:
-            self._restore_p()
+            self._rollback()
             raise WorkerSyncError(
                 "end", epoch, late, _timeout_note(self.barrier_timeout_s)
             )
         if end_delays:
             self.sim_seconds += max(f.seconds for f in end_delays)
-        return {"wire_bytes": nbytes * self.n_workers, "per_worker_bytes": nbytes}
+        return detail
 
     def sync(self, epoch: int) -> Mapping:
+        # rotation's disjoint ownership leaves nothing to merge
+        merges = 0 if self._rotating else self.n_workers
+        if merges:
+            self._merge(epoch)
+        self.sim_seconds += self._epoch_sim_cost
+        self.cost_log.append((
+            epoch + self.epoch_offset,
+            self._epoch_sim_cost,
+            len(self._platform_workers) < self.platform.n_workers,
+        ))
+        return {"merges": merges, "merged_values": int(self.model.Q.size) * merges}
+
+    def _merge(self, epoch: int) -> None:
         weights = [
             self._sync_policy.weight(i, self._fractions)
             for i in range(self.n_workers)
@@ -511,35 +621,20 @@ class SimBackend:
         except WirePayloadError:
             # nothing merged; P was trained in place and must roll back
             # too, as the process plane discards its shared P
-            self._restore_p()
+            self._rollback()
             raise
         if self._timed:
-            t1 = self._now()
-            self._timeline.add(
-                "server", Phase.SYNC, t0, t1,
-                epoch + self.epoch_offset, self._attempt,
-            )
+            t1 = self._span("server", Phase.SYNC, t0, epoch)
             self._registry.histogram(
                 "merge_seconds", "server delta-merge time per epoch"
             ).observe(t1 - t0)
-        self.sim_seconds += self._epoch_sim_cost
-        self.cost_log.append((
-            epoch + self.epoch_offset,
-            self._epoch_sim_cost,
-            len(self._platform_workers) < self.platform.n_workers,
-        ))
-        return {"merges": self.n_workers,
-                "merged_values": int(self.model.Q.size) * self.n_workers}
 
     def evaluate(self, epoch: int) -> float:
         if self._timed:
             t0 = self._now()
         rmse = self.model.rmse(self._eval_set)
         if self._timed:
-            self._timeline.add(
-                "server", Phase.EVAL, t0, self._now(),
-                epoch + self.epoch_offset, self._attempt,
-            )
+            self._span("server", Phase.EVAL, t0, epoch)
         return rmse
 
     # -- resilience ------------------------------------------------------
@@ -567,7 +662,7 @@ class SimBackend:
 
         The engine calls this with the *old* rank numbering, before it
         shrinks ``n_workers`` to the survivor count; subsequent opens
-        build runtimes — and price epochs — over the survivors only.
+        build shards — and price epochs — over the survivors only.
         """
         dead = set(dead_ranks)
         self._platform_workers = [
@@ -587,27 +682,6 @@ class SimBackend:
 # ---------------------------------------------------------------------------
 # process backend (OS workers over shared memory)
 # ---------------------------------------------------------------------------
-def _train_shard(
-    model: MFModel,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    rng: np.random.Generator,
-    batch_size: int,
-    lr: float,
-    reg: float,
-) -> None:
-    """One epoch of batched SGD over this worker's shard."""
-    n = len(vals)
-    order = rng.permutation(n)
-    for lo in range(0, n, batch_size):
-        sel = order[lo : lo + batch_size]
-        sgd_batch_update(
-            model, rows[sel], cols[sel], vals[sel], lr, reg,
-            policy=ConflictPolicy.ATOMIC,
-        )
-
-
 def _pre_epoch_faults(
     faults: tuple[Fault, ...], global_epoch: int, worker_id: int, start_barrier
 ) -> None:
@@ -696,8 +770,8 @@ def _worker_main(
     worker dumps one ``.pstats`` file per stage there before exiting.
     """
     rng = np.random.default_rng(seed + 1000 * (worker_id + 1))
-    # replay: one permutation draw per completed epoch (mirrors
-    # _train_shard) so a warm-started run continues the exact sample
+    # replay: one permutation draw per completed epoch (as each epoch
+    # below draws) so a warm-started run continues the exact sample
     # order of the straight-through run
     for _ in range(epoch_offset):
         rng.permutation(len(vals))
@@ -743,7 +817,10 @@ def _worker_main(
                 q_local = channel.decode(pull_buf.array)
             model = MFModel(p_shared.array, q_local)
             with rec.span(Phase.COMPUTE, epoch), prof.stage("compute"):
-                _train_shard(model, rows, cols, vals, rng, batch_size, lr, reg)
+                _train_shard(
+                    model, rows, cols, vals, rng.permutation(len(vals)),
+                    batch_size, lr, reg, ConflictPolicy.ATOMIC,
+                )
             # push: one encode into this worker's shared push buffer
             with rec.span(Phase.PUSH, epoch), prof.stage("push"):
                 encode_push(
@@ -850,11 +927,12 @@ class ProcessBackend:
                 "shared memory and is updated in place); use a Q-only channel "
                 f"stack, not {channel.describe()!r}"
             )
-        traffic = channel.traffic(2, 1, 1)
-        if traffic.sync_values == 0:
+        if _rotates_q(channel):
             raise ValueError(
-                "q-rotate channels have no pull/push/sync stages; the "
-                "rotation loop runs only on the sim plane"
+                "q-rotate trains the global Q in place under ring-rotated "
+                "column ownership, which the process plane's shared-memory "
+                "push and merge cannot express; rotation runs on the sim "
+                "plane through the engine (SimBackend)"
             )
         data = self.ratings.shuffle(self.seed)
         assignments = partition_rows(data, plan.fractions, GridKind.ROW)

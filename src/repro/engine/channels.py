@@ -245,13 +245,16 @@ class DoubleBufferChannel(Channel):
 
 
 class QRotateChannel(Channel):
-    """Future-work mode: ring-rotated Q ownership (sim accounting only).
+    """Future-work mode: ring-rotated Q ownership (sim plane).
 
     Same gross bytes as Q-only, but the transfers are peer-to-peer hops
-    that overlap rotation steps and ownership removes the server merge.
-    The execution engine does not drive this mode — the rotation loop
-    has no pull/push/sync stages — so this channel only exists to keep
-    the accounting in one place.
+    that overlap rotation steps and ownership removes the server merge
+    (``sync_values == 0``).  That zero selects
+    :class:`~repro.engine.backends.SimBackend`'s rotation mode, which
+    the engine drives like every other: workers train the global Q in
+    place on owned column blocks, pull/push account this channel's
+    bytes without copying, and sync merges nothing.  The process plane
+    rejects it.
     """
 
     label = "q-rotate"

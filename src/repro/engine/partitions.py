@@ -22,7 +22,7 @@ both planes use:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.core.config import PartitionStrategy
 from repro.core.partition import PartitionPlan, even_partition
@@ -110,11 +110,3 @@ def as_provider(partition) -> PartitionProvider:
         f"cannot interpret {type(partition).__name__} as a partition provider"
     )
 
-
-def provider_from(partition, fractions: Sequence[float] | None = None) -> PartitionProvider:
-    """Resolve the (partition, legacy fractions) pair a trainer accepts."""
-    if partition is not None and fractions is not None:
-        raise ValueError("pass either partition= or fractions=, not both")
-    if partition is not None:
-        return as_provider(partition)
-    return as_provider(list(fractions) if fractions is not None else None)

@@ -79,7 +79,6 @@ class SharedMemoryTrainer:
         lr: float = 0.005,
         reg: float = 0.01,
         batch_size: int = 4096,
-        fractions: list[float] | None = None,
         seed: int = 0,
         telemetry: "Telemetry | None" = None,
         partition=None,
@@ -98,8 +97,8 @@ class SharedMemoryTrainer:
         from repro.engine import (
             DEFAULT_BARRIER_TIMEOUT_S,
             QOnlyChannel,
+            as_provider,
             channel_for,
-            provider_from,
         )
 
         if n_workers <= 0:
@@ -114,13 +113,11 @@ class SharedMemoryTrainer:
         self.batch_size = batch_size
         self.seed = seed
         #: partition provider: ``partition=`` takes a PartitionPlan, raw
-        #: fractions or a provider; ``fractions=`` is the legacy alias
-        self.partitions = provider_from(partition, fractions)
-        self.fractions = (
-            list(self.partitions.plan(n_workers).fractions)
-            if partition is not None or fractions is not None
-            else [1.0 / n_workers] * n_workers
-        )
+        #: fractions or a provider
+        self.partitions = as_provider(partition)
+        # resolve once now so a bad partition fails at construction,
+        # not after the workers spawn
+        self.partitions.plan(n_workers)
         if channel is not None:
             self.channel = channel
         elif config is not None:

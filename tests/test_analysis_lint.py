@@ -633,7 +633,7 @@ class TestEpochLoop:
         src = """
         def rotate(self, epochs):
             for _ in range(epochs):
-                self.run_rotation_step()
+                self.compute()
         """
         assert len(issues_for(src, path=self.FRAMEWORK, rule="epoch-loop")) == 1
 
@@ -641,7 +641,7 @@ class TestEpochLoop:
         src = """
         def rotate(self, epochs):
             for _ in range(epochs):  # hcclint: disable=epoch-loop
-                self.run_rotation_step()
+                self.compute()
         """
         assert issues_for(src, path=self.FRAMEWORK, rule="epoch-loop") == []
 

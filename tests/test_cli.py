@@ -76,6 +76,18 @@ class TestCommands:
         ]) == 0
         assert "rmse:" in capsys.readouterr().out
 
+    def test_train_q_rotate_drift_measures_compute(self, capsys):
+        assert main([
+            "train", "--dataset", "Netflix", "--nnz", "4000", "--epochs", "2",
+            "--k", "8", "--transmit", "q-rotate", "--drift",
+        ]) == 0
+        rows = [
+            line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("worker-") and line.split()[1] == "computing"
+        ]
+        assert len(rows) == 4  # one per worker of the paper's workstation
+        assert all(float(row[3]) > 0 for row in rows)
+
     def test_analyze_synthetic(self, capsys):
         assert main(["analyze", "--dataset", "R2", "--nnz", "4000"]) == 0
         out = capsys.readouterr().out

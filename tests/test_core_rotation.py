@@ -4,16 +4,37 @@ import numpy as np
 import pytest
 
 from repro.core.comm import CommPlan
-from repro.core.config import CommConfig, HCCConfig, TransmitMode
+from repro.core.config import CommConfig, HCCConfig, RecoveryPolicy, TransmitMode
 from repro.core.cost_model import Regime, TimeCostModel
 from repro.core.framework import HCCMF
-from repro.core.worker import WorkerRuntime
+from repro.core.partition import even_partition
 from repro.data.datasets import MOVIELENS_20M, NETFLIX
-from repro.data.grid import partition_rows
-from repro.hardware.processor import Processor
-from repro.hardware.specs import XEON_6242
+from repro.engine import (
+    EpochEngine,
+    QOnlyChannel,
+    QRotateChannel,
+    SimBackend,
+    STAGES,
+    WorkerSyncError,
+    backends,
+)
+from repro.engine.pipeline import AdditiveDeltaSync
+from repro.experiments.platforms import workers_platform
 from repro.hardware.topology import paper_workstation
-from repro.mf.model import MFModel
+from repro.resilience import FaultPlan
+
+
+def _rotating(data, n_workers, fault_plan=None):
+    """An opened rotation-mode sim backend over an even split."""
+    backend = SimBackend(
+        workers_platform(n_workers), ratings=data, k=8, lr=0.01, seed=0,
+        fault_plan=fault_plan, barrier_timeout_s=5.0,
+    )
+    backend.open(
+        even_partition(n_workers), QRotateChannel(), AdditiveDeltaSync(),
+        None, 1,
+    )
+    return backend
 
 
 class TestCommPlan:
@@ -72,40 +93,123 @@ class TestCostModel:
 
 
 class TestWorkerRotation:
+    P = 3
+
     @pytest.fixture
-    def setup(self, small_ratings):
+    def backend(self, small_ratings):
+        return _rotating(small_ratings.shuffle(0), self.P)
+
+    def test_blocks_partition_shard(self, backend):
+        edges = np.linspace(0, backend.ratings.n, self.P + 1, dtype=np.int64)
+        for shard, blocks in zip(backend._shards, backend._col_blocks):
+            assert len(blocks) == shard.nnz
+            assert np.all(edges[blocks] <= shard.cols)
+            assert np.all(shard.cols < edges[blocks + 1])
+
+    def test_step_only_touches_owned_columns(self, backend, monkeypatch):
+        """Each worker's part of a sub-step writes only the Q columns of
+        block (rank + step) mod p, so workers own disjoint blocks."""
+        written = []
+
+        def spy(model, *args):
+            before = model.Q.copy()
+            real(model, *args)
+            written.append(np.flatnonzero(np.any(model.Q != before, axis=0)))
+
+        real = backends._train_shard
+        monkeypatch.setattr(backends, "_train_shard", spy)
+        backend.pull(0)
+        backend.compute(0)
+        edges = np.linspace(0, backend.ratings.n, self.P + 1, dtype=np.int64)
+        assert len(written) == self.P * self.P
+        for call, cols in enumerate(written):
+            step, rank = divmod(call, self.P)
+            owned = (rank + step) % self.P
+            assert len(cols) > 0
+            assert np.all((edges[owned] <= cols) & (cols < edges[owned + 1]))
+
+
+class TestEngineRotation:
+    def test_trace_has_every_stage_and_no_merge(self, small_ratings):
+        backend = SimBackend(
+            workers_platform(3), ratings=small_ratings.shuffle(0), k=8, seed=0
+        )
+        result = EpochEngine(backend, channel=QRotateChannel()).run(2)
+        assert result.stage_sequence() == [
+            (e, s) for e in range(2) for s in STAGES
+        ]
+        for event in result.stage_trace:
+            if event.stage == "sync":
+                assert event.detail["merges"] == 0
+            if event.stage in ("pull", "push"):
+                assert event.detail["per_worker_bytes"] == backend.model.Q.nbytes
+        assert result.updates_applied == 2 * small_ratings.nnz
+
+    def test_resume_is_bitwise_identical(self, small_ratings, tmp_path):
+        platform = paper_workstation(16)
+        cfg = HCCConfig(
+            k=8, epochs=4, learning_rate=0.01, seed=1,
+            comm=CommConfig(transmit=TransmitMode.Q_ROTATE),
+        )
+        path = tmp_path / "rotate-ckpt"
+        straight = HCCMF(platform, NETFLIX, cfg, ratings=small_ratings).train()
+        HCCMF(platform, NETFLIX, cfg, ratings=small_ratings).train(
+            epochs=2, checkpoint_every=2, checkpoint_path=path
+        )
+        resumed = HCCMF(platform, NETFLIX, cfg, ratings=small_ratings).train(
+            resume_from=path
+        )
+        assert resumed.rmse_history == straight.rmse_history
+        assert np.array_equal(resumed.model.P, straight.model.P)
+        assert np.array_equal(resumed.model.Q, straight.model.Q)
+
+
+class TestRotationFaults:
+    def _run(self, data, channel, plan):
+        backend = SimBackend(
+            workers_platform(3), ratings=data, k=8, lr=0.01, seed=0,
+            fault_plan=plan,
+        )
+        engine = EpochEngine(
+            backend, channel=channel,
+            recovery=RecoveryPolicy(min_workers=2, backoff_base_s=0.0),
+        )
+        return backend, engine.run(3)
+
+    def test_kill_redistributes_to_p_minus_1_blocks(self, small_ratings):
         data = small_ratings.shuffle(0)
-        assignment = partition_rows(data, [0.6, 0.4])[0]
-        rt = WorkerRuntime(0, Processor(XEON_6242), assignment, data, seed=0)
-        model = MFModel.init_for(data, 8, seed=0)
-        return rt, model, data
+        plan = FaultPlan().kill(2, epoch=1)
+        _, q_only = self._run(data, QOnlyChannel(), plan)
+        backend, rotated = self._run(data, QRotateChannel(), plan)
+        assert rotated.resilience.decisions == q_only.resilience.decisions
+        assert rotated.resilience.redistributions == 1
+        assert rotated.final_plan.n_workers == 2
+        assert len(rotated.rmse_history) == 3
+        # the recovered attempt rotates over two column blocks
+        assert {int(b.max()) for b in backend._col_blocks} == {1}
 
-    def test_blocks_partition_shard(self, setup):
-        rt, _, data = setup
-        edges = np.linspace(0, data.n, 4).astype(np.int64)
-        rt.prepare_column_blocks(edges)
-        total = sum(len(ix) for ix in rt._block_entries)
-        assert total == rt.nnz
+    def test_straggler_past_timeout_rolls_back_p_and_q(self, small_ratings):
+        backend = _rotating(
+            small_ratings.shuffle(0), 3,
+            FaultPlan().delay_barrier(1, 0, seconds=10.0, point="end"),
+        )
+        p0, q0 = backend.model.P.copy(), backend.model.Q.copy()
+        backend.pull(0)
+        backend.compute(0)
+        assert not np.array_equal(backend.model.Q, q0)  # trained in place
+        with pytest.raises(WorkerSyncError):
+            backend.push(0)
+        assert backend.model.P.tobytes() == p0.tobytes()
+        assert backend.model.Q.tobytes() == q0.tobytes()
 
-    def test_step_only_touches_owned_columns(self, setup):
-        rt, model, data = setup
-        edges = np.linspace(0, data.n, 4).astype(np.int64)
-        rt.prepare_column_blocks(edges)
-        q_before = model.Q.copy()
-        rt.run_rotation_step(model, 1, lr=0.01, reg=0.01)
-        changed = np.flatnonzero(np.any(model.Q != q_before, axis=0))
-        assert np.all(changed >= edges[1])
-        assert np.all(changed < edges[2])
-
-    def test_step_requires_preparation(self, setup):
-        rt, model, _ = setup
-        with pytest.raises(RuntimeError, match="prepare_column_blocks"):
-            rt.run_rotation_step(model, 0, 0.01, 0.01)
-
-    def test_bad_edges(self, setup):
-        rt, _, _ = setup
-        with pytest.raises(ValueError):
-            rt.prepare_column_blocks(np.array([5, 10]))
+    @pytest.mark.parametrize("kind", ["drop", "corrupt"])
+    def test_payload_faults_rejected(self, small_ratings, kind):
+        plan = (
+            FaultPlan().drop_payload(0, 0) if kind == "drop"
+            else FaultPlan().corrupt_payload(0, 0)
+        )
+        with pytest.raises(ValueError, match=kind):
+            _rotating(small_ratings.shuffle(0), 2, plan)
 
 
 class TestFrameworkRotation:

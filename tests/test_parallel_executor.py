@@ -44,7 +44,7 @@ class TestSharedMemoryTrainer:
 
     def test_custom_fractions(self, data):
         trainer = SharedMemoryTrainer(
-            data, k=8, n_workers=2, lr=0.01, fractions=[0.3, 0.7], seed=0
+            data, k=8, n_workers=2, lr=0.01, partition=[0.3, 0.7], seed=0
         )
         res = trainer.train(epochs=2)
         assert res.n_workers == 2
@@ -69,7 +69,7 @@ class TestSharedMemoryTrainer:
         with pytest.raises(ValueError):
             SharedMemoryTrainer(data, n_workers=0)
         with pytest.raises(ValueError):
-            SharedMemoryTrainer(data, n_workers=2, fractions=[1.0])
+            SharedMemoryTrainer(data, n_workers=2, partition=[1.0])
         with pytest.raises(ValueError):
             SharedMemoryTrainer(data, k=0)
         with pytest.raises(ValueError):
@@ -135,7 +135,7 @@ class TestChannelStrategies:
             data, k=8, n_workers=2, lr=0.01, seed=0,
             partition=PartitionPlan("dp0", (0.35, 0.65)),
         )
-        assert trainer.fractions == pytest.approx([0.35, 0.65])
+        assert trainer.partitions.plan(2).fractions == pytest.approx((0.35, 0.65))
         res = trainer.train(epochs=2)
         assert res.rmse_history[-1] < res.rmse_history[0]
 

@@ -46,7 +46,7 @@ class TestMeasurePartition:
         mp = measure_partition(medium_ratings, 2, k=8, seed=0)
         trainer = SharedMemoryTrainer(
             medium_ratings, k=8, n_workers=2, lr=0.01,
-            fractions=list(mp.plan.fractions), seed=0,
+            partition=list(mp.plan.fractions), seed=0,
         )
         res = trainer.train(epochs=2)
         assert res.rmse_history[-1] < res.rmse_history[0]
